@@ -1,19 +1,18 @@
-"""Interpreter dispatch tiers: per-instruction vs closure vs JIT.
+"""Interpreter dispatch: per-instruction vs compiled superblocks.
 
 Same simulated program, same architectural results — the only thing
-measured here is host-side interpreter speed per tier and what the
-fuser/JIT did: how much of the dynamic instruction stream runs inside
-fused blocks, and how much of that was promoted to generated-source
-JIT functions.
+measured here is host-side interpreter speed per dispatch mode and
+what the fuser did: how much of the dynamic instruction stream runs
+inside compiled blocks, and how many distinct shapes that took.
 
 Two entry points:
 
 * under pytest-benchmark (CI bench-smoke), ``test_dispatch_throughput``
-  times each tier per workload;
+  times each mode per workload;
 * standalone, ``python benchmarks/bench_superblock.py`` writes
-  ``BENCH_jit.json`` with per-tier wall times, simulated-instruction
-  throughput and the JIT counters (promotions, codegen vs cache hits),
-  asserting cycle-identity across tiers as it goes.
+  ``BENCH_jit.json`` with per-mode wall times, simulated-instruction
+  throughput and the compile counters (codegen vs cache hits),
+  asserting cycle-identity across modes as it goes.
 """
 
 from __future__ import annotations
@@ -36,20 +35,18 @@ from repro.workloads import build_workload  # noqa: E402
 #: sensor (the throughput reference) plus a loop-heavy DSP kernel.
 WORKLOADS = {"sensor": 0.05, "adpcm_enc": 0.05}
 
-#: tier name -> MachineConfig kwargs.
-TIERS = {
+#: dispatch mode -> MachineConfig kwargs.
+MODES = {
     "per_insn": {"superblocks": False},
-    "closure": {"superblocks": True, "jit": "off"},
-    "jit_hot": {"superblocks": True, "jit": "hot"},
-    "jit_all": {"superblocks": True, "jit": "all"},
+    "compiled": {"superblocks": True},
 }
 
 
-@pytest.mark.parametrize("tier", ["per_insn", "closure", "jit_all"])
+@pytest.mark.parametrize("mode", list(MODES))
 @pytest.mark.parametrize("name", list(WORKLOADS))
-def test_dispatch_throughput(benchmark, name, tier):
+def test_dispatch_throughput(benchmark, name, mode):
     image = build_workload(name, WORKLOADS[name])
-    kwargs = TIERS[tier]
+    kwargs = MODES[mode]
 
     def run():
         machine = Machine(image, MachineConfig(**kwargs))
@@ -58,15 +55,14 @@ def test_dispatch_throughput(benchmark, name, tier):
 
     machine = benchmark(run)
     rate = machine.cpu.icount / benchmark.stats["mean"]
-    print(f"\n{name} [{tier}]: {rate / 1e6:.2f} M simulated instr/s")
+    print(f"\n{name} [{mode}]: {rate / 1e6:.2f} M simulated instr/s")
 
 
 def test_fusion_stats():
     from conftest import save_result
     lines = []
     for name, scale in WORKLOADS.items():
-        machine = Machine(build_workload(name, scale),
-                          MachineConfig(superblocks=True, jit="hot"))
+        machine = Machine(build_workload(name, scale))
         machine.run()
         stats = machine.cpu.sb_stats
         jstats = machine.cpu.jit_stats
@@ -78,7 +74,7 @@ def test_fusion_stats():
             f"{stats.fused_instructions} fused instructions "
             f"(mean {stats.mean_block_length:.1f}/block), "
             f"{stats.single_closures} single closures, "
-            f"{jstats.jit_promotions} JIT promotions covering "
+            f"{jstats.jit_blocks} shapes covering "
             f"{jstats.jit_instructions} instructions")
     save_result("superblock_fusion",
                 "Superblock fusion statistics:\n" + "\n".join(lines))
@@ -87,8 +83,8 @@ def test_fusion_stats():
 # -- standalone mode: BENCH_jit.json ----------------------------------
 
 
-def _timed_tier(image, kwargs: dict, repeat: int) -> dict:
-    """Best/median wall clock for one tier (one untimed warm-up)."""
+def _timed_mode(image, kwargs: dict, repeat: int) -> dict:
+    """Best/median wall clock for one mode (one untimed warm-up)."""
     Machine(image, MachineConfig(**kwargs)).run()  # warm-up, untimed
     walls = []
     machine = None
@@ -109,7 +105,6 @@ def _timed_tier(image, kwargs: dict, repeat: int) -> dict:
         "jit": {
             "blocks": js.jit_blocks,
             "instructions": js.jit_instructions,
-            "promotions": js.jit_promotions,
             "codegen": js.jit_codegen,
             "mem_hits": js.jit_mem_hits,
             "disk_hits": js.jit_disk_hits,
@@ -120,30 +115,30 @@ def _timed_tier(image, kwargs: dict, repeat: int) -> dict:
 
 def run_benchmarks(repeat: int = 3) -> dict:
     results: dict = {
-        "schema": "BENCH_jit/1",
+        "schema": "BENCH_jit/2",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "workloads": {},
     }
     for name, scale in WORKLOADS.items():
         image = build_workload(name, scale)
-        tiers = {}
+        modes = {}
         baseline = None
-        for tier, kwargs in TIERS.items():
-            row = _timed_tier(image, kwargs, repeat)
+        for mode, kwargs in MODES.items():
+            row = _timed_mode(image, kwargs, repeat)
             sig = (row["instructions"], row["cycles"])
             if baseline is None:
                 baseline = sig
             elif sig != baseline:
                 raise AssertionError(
-                    f"{name}/{tier}: simulated counters diverged "
-                    f"{sig} != {baseline} — tiers must be "
+                    f"{name}/{mode}: simulated counters diverged "
+                    f"{sig} != {baseline} — modes must be "
                     f"cycle-identical")
-            tiers[tier] = row
-        base = tiers["per_insn"]["wall_s_best"]
-        for row in tiers.values():
+            modes[mode] = row
+        base = modes["per_insn"]["wall_s_best"]
+        for row in modes.values():
             row["speedup_vs_per_insn"] = base / row["wall_s_best"]
-        results["workloads"][name] = tiers
+        results["workloads"][name] = modes
     return results
 
 
@@ -156,17 +151,17 @@ def main(argv: list[str] | None = None) -> int:
     results = run_benchmarks(args.repeat)
     args.out.write_text(json.dumps(results, indent=2) + "\n")
 
-    for name, tiers in results["workloads"].items():
+    for name, modes in results["workloads"].items():
         print(f"{name}:")
-        for tier, row in tiers.items():
+        for mode, row in modes.items():
             jit = row["jit"]
             extra = ""
             if jit["blocks"]:
-                extra = (f"  [jit: {jit['blocks']} blocks, "
+                extra = (f"  [{jit['blocks']} shapes, "
                          f"{jit['codegen']} codegen, "
                          f"{jit['mem_hits']} mem hits, "
                          f"{jit['disk_hits']} disk hits]")
-            print(f"  {tier:9s} best {row['wall_s_best'] * 1e3:7.1f}ms  "
+            print(f"  {mode:9s} best {row['wall_s_best'] * 1e3:7.1f}ms  "
                   f"{row['m_instr_per_s']:6.2f} M instr/s  "
                   f"{row['speedup_vs_per_insn']:.2f}x{extra}")
     print(f"wrote {args.out}")

@@ -44,8 +44,6 @@ def _softcache_config(args, recorder=None,
         link=link, data_cache=dcache_config,
         prefetch_depth=args.prefetch_depth,
         debug_poison=getattr(args, "poison", False),
-        jit=getattr(args, "jit", "hot"),
-        jit_threshold=getattr(args, "jit_threshold", 16),
         recorder=recorder, fault_plan=fault_plan,
         update_at=tuple(getattr(args, "update_at", None) or ()))
 
@@ -540,15 +538,11 @@ def _cmd_admin(args) -> int:
             payload = {}
             if args.prefetch_depth is not None:
                 payload["prefetch_depth"] = args.prefetch_depth
-            if args.jit is not None:
-                payload["jit"] = args.jit
-            if args.jit_threshold is not None:
-                payload["jit_threshold"] = args.jit_threshold
             if args.policy is not None:
                 payload["policy"] = args.policy
             if not payload:
-                print("admin set needs --prefetch-depth, --jit, "
-                      "--jit-threshold and/or --policy",
+                print("admin set needs --prefetch-depth and/or "
+                      "--policy",
                       file=sys.stderr)
                 return 2
         elif args.verb == "publish":
@@ -680,15 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(see docs/FAULTS.md)")
         p.add_argument("--seed", type=int, default=0,
                        help="PRNG seed for the fault plan")
-        p.add_argument("--jit", default="hot",
-                       choices=("off", "hot", "all"),
-                       help="template-JIT tier for superblocks: off = "
-                            "closure tier only, hot = promote after "
-                            "--jit-threshold executions (default), "
-                            "all = compile every fused block eagerly")
-        p.add_argument("--jit-threshold", type=int, default=16,
-                       help="superblock executions before JIT "
-                            "promotion (jit=hot)")
         p.add_argument("--update-at", metavar="CYCLES:IMAGE",
                        action="append", default=None,
                        help="publish a new image version once the "
@@ -746,10 +731,10 @@ def build_parser() -> argparse.ArgumentParser:
     debug.add_argument("--poison", action="store_true",
                        help="poison evicted blocks (louder audits)")
     debug.add_argument("--dump-superblock", metavar="PC",
-                       help="print tier, hit count, guest disassembly "
-                            "and generated Python source for the "
-                            "superblock(s) covering PC (hex or "
-                            "decimal) at end of run")
+                       help="print kind, bound target, guest "
+                            "disassembly and generated Python source "
+                            "for the superblock(s) covering PC (hex "
+                            "or decimal) at end of run")
 
     fleet = sub.add_parser(
         "fleet", help="simulate N clients sharing one MC and uplink")
@@ -833,11 +818,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="inspect: which snapshot section")
     admin.add_argument("--prefetch-depth", type=int, default=None,
                        help="set: new prefetch depth")
-    admin.add_argument("--jit", default=None,
-                       choices=("off", "hot", "all"),
-                       help="set: new JIT mode")
-    admin.add_argument("--jit-threshold", type=int, default=None,
-                       help="set: new JIT promotion threshold")
     admin.add_argument("--policy", default=None,
                        choices=policy_names(),
                        help="set: swap the replacement policy (fresh "

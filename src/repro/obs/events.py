@@ -48,7 +48,9 @@ from .metrics import MetricsRegistry
 #: cc.policy_flush) — see docs/OBSERVABILITY.md.
 #: v6: live code update (mc.publish, cc.epoch_observed,
 #: cc.update_barrier) — see docs/UPDATES.md.
-TRACE_SCHEMA_VERSION = 6
+#: v7: one compiled superblock tier (cpu.jit_promote removed;
+#: interp.sb_retarget added) — see docs/PERFORMANCE.md.
+TRACE_SCHEMA_VERSION = 7
 
 #: Chrome-trace thread lane per event category.  One process (pid) is
 #: one client; within it each layer of the stack gets its own track.
@@ -60,7 +62,7 @@ CATEGORY_TRACKS: dict[str, int] = {
     "interp": 5,   # superblock interpreter
     "fleet": 6,    # shared-uplink queue / per-client spans
     "fault": 7,    # fault injection (drops, retries, reconnects)
-    "cpu": 8,      # template-JIT tier (codegen/load/promotion)
+    "cpu": 8,      # superblock artifacts (codegen/load)
 }
 
 #: Every event name the stack emits, with the argument keys it carries.
@@ -101,11 +103,11 @@ EVENT_SCHEMA: dict[str, tuple[str, ...]] = {
     # interpreter --------------------------------------------------------
     "interp.fuse": ("pc", "fused"),
     "interp.sb_invalidate": ("pc",),
+    "interp.sb_retarget": ("pc", "target"),
     "interp.flush": (),
-    # template-JIT tier --------------------------------------------------
+    # superblock artifacts -----------------------------------------------
     "cpu.jit_compile": ("pc", "fused"),
     "cpu.jit_load": ("pc", "fused"),
-    "cpu.jit_promote": ("pc", "count"),
     # fleet ----------------------------------------------------------------
     "fleet.client": ("client", "start_s", "seconds", "translations",
                      "delay_s"),

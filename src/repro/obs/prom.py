@@ -20,7 +20,7 @@ Metric names are sanitized (dots become underscores, everything
 prefixed ``repro_``) so ``cc.misses`` scrapes as ``repro_cc_misses``.
 Every series carries a ``# HELP`` line alongside ``# TYPE``, and a
 ``repro_build_info`` gauge pins the trace schema version (plus any
-labels the caller supplies, e.g. the jit mode) the way exporters
+labels the caller supplies, e.g. the chunk granularity) the way exporters
 conventionally do.
 """
 

@@ -25,13 +25,13 @@ Routes::
     GET  /metrics              Prometheus text exposition (live scrape)
     GET  /inspect              full snapshot (SoftCacheSystem.inspect)
     GET  /inspect/tcache       residency map, stub/link occupancy, heat
-    GET  /inspect/superblocks  interpreter tier census (CPU.superblock_census)
+    GET  /inspect/superblocks  compiled/single block census
+                               (CPU.superblock_census)
     GET  /inspect/shards       per-shard MC load (fleets; 1 shard solo)
     GET  /inspect/images       image versions: epoch, digest, diff
                                sizes, client convergence
     POST /admin/flush          drop every unpinned block
-    POST /admin/set            {"prefetch_depth": N, "jit": MODE,
-                                "jit_threshold": N}
+    POST /admin/set            {"prefetch_depth": N, "policy": NAME}
     POST /admin/resize         {"tcache_size": N}  (<= boot geometry)
     POST /admin/publish        {"image": PATH}  (a saved image file;
                                 layout-preserving hot patch)
@@ -232,7 +232,6 @@ class ObsServer:
         build_info = {}
         if system is not None:
             self._snapshot(lambda: system.publish_metrics(registry))
-            build_info["jit"] = system.config.jit
             build_info["granularity"] = system.config.granularity
         if fleet_mc is not None:
             from .metrics import publish_dataclass

@@ -1,35 +1,36 @@
-"""The repro RISC CPU: a closure-caching, superblock-threading interpreter.
+"""The repro RISC CPU: a closure-caching, superblock-compiling interpreter.
 
 Each instruction word is decoded once into a specialized Python closure
 stored in a per-address decode cache.  On top of that sits a
 **superblock layer**: at first dispatch of a pc, the straight-line run
-of instructions starting there (up to the next control transfer) is
-fused into one generated-and-compiled Python function that executes the
-whole block with a single dispatch, batching the instruction/cycle
-stats updates; the run loop is then ``pc = blocks[pc](pc)``.  Traced
-runs, :meth:`CPU.step` and TRAP/SYSCALL/BREAK/HALT words always use the
+of instructions starting there (up to and including the next control
+transfer) is compiled by the template JIT (:mod:`repro.sim.jit`) into
+one Python function with guest registers as locals, constants folded
+and the instruction/cycle stats batched; the run loop is then
+``pc = blocks[pc](pc)``.  ``superblocks=False``, traced runs,
+:meth:`CPU.step` and TRAP/SYSCALL/BREAK/HALT words use the
 per-instruction closures, so hook-visible state is exact at those
 boundaries.
 
-Above the closure tier sits a hotness-driven **template-JIT tier**
-(:mod:`repro.sim.jit`): once a superblock's content has executed
-``jit_threshold`` times (``jit="hot"``, the default; ``jit="all"``
-compiles eagerly, ``jit="off"`` disables the tier) it is recompiled to
-specialized source with guest registers as Python locals and constants
-folded, and the dispatch-table entries for that content are swapped in
-place.  Compiled artifacts persist in the trace-cache directory
-(:mod:`repro.sim.jitcache`) keyed by raw words + codegen version, so a
-warm process binds JIT blocks without running codegen.  All tiers are
-cycle-identical: tiering only changes host speed, never simulated
-counters.
+Compiled blocks are keyed by **shape**: their words with the target
+field of a J/JAL/branch terminator masked.  The target is bound per
+block as the function's last default argument ``T``, so every
+placement of one chunk shares one code object.  Artifacts are pure
+functions of (cost table, shape words) and persist in the trace-cache
+directory (:mod:`repro.sim.jitcache`), so a warm process binds blocks
+without running codegen.  Compilation changes host speed only, never
+simulated counters.
 
 Writes into executable regions (i.e. dynamic binary rewriting by the
 SoftCache) invalidate the affected decode-cache entries *and every
-superblock overlapping the written words*, so patched branch words and
+superblock overlapping the written words*, so patched words and
 ``debug_poison`` BREAK words take effect exactly like they would on
-real hardware with coherent fetch.  A store executed from inside a
-fused block re-checks a code-generation counter so even self-modifying
-stores fall back to fresh decode mid-block.
+real hardware with coherent fetch.  The one exception is a backpatch:
+a word write that replaces a block's terminator with one of the same
+shape rebinds that block's ``T`` in place instead of killing it.  A
+store executed from inside a fused block re-checks a code-generation
+counter so even self-modifying stores fall back to fresh decode
+mid-block.
 
 The CPU knows nothing about caching.  The SoftCache hooks in through
 two narrow interfaces:
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from types import FunctionType
 from typing import Callable
 
 from ..isa import Op, Trap, decode, to_signed32
@@ -63,19 +65,15 @@ from .errors import (
     SimError,
 )
 from .jit import (
-    JIT_MODES,
+    SHAPE_MASKS,
     JitStats,
-    _SB_ALU_R,
-    _SB_ALU_R_HELPERS,
-    _SB_BRANCH_COND,
-    _SB_LOADS,
-    _SB_STORES,
     _SB_STRAIGHT_OPS,
     _SB_TERM_OPS,
-    _sb_alu_i_expr,
     _sdiv,
     _srem,
+    bound_target,
     jit_codegen,
+    taken_target,
 )
 from . import jitcache
 from .memory import Memory
@@ -138,7 +136,7 @@ def _classify_word(word: int) -> int:
 class SuperblockStats:
     """Fusion and invalidation counters for the superblock layer."""
 
-    #: Superblocks compiled (>= 2 instructions fused into one closure).
+    #: Superblocks compiled (>= 2 instructions fused into one function).
     fused_blocks: int = 0
     #: Total instructions covered by those superblocks.
     fused_instructions: int = 0
@@ -147,6 +145,9 @@ class SuperblockStats:
     single_closures: int = 0
     #: Blocks killed because a code write overlapped their span.
     invalidated_blocks: int = 0
+    #: Blocks whose bound target a same-shape terminator write rebound
+    #: in place (instead of killing them).
+    retargeted_blocks: int = 0
     #: Whole-cache flushes (tcache flush / invalidate_all_decoded).
     flushes: int = 0
     #: Executable-region write events seen by the invalidation hook.
@@ -164,8 +165,7 @@ class CPU:
     """A single in-order core executing the repro ISA."""
 
     def __init__(self, memory: Memory, costs: CostModel = DEFAULT_COSTS,
-                 superblocks: bool = True, jit: str = "hot",
-                 jit_threshold: int = 16):
+                 superblocks: bool = True):
         self.mem = memory
         self.costs = costs
         self.regs: list[int] = [0] * 32
@@ -175,19 +175,10 @@ class CPU:
         self.stats = [0, 0]
         self.trap_hook: TrapHook | None = None
         self.sys_hook: SysHook | None = None
-        #: Fuse straight-line code into superblocks in :meth:`run`.
+        #: Compile straight-line code into superblocks in :meth:`run`.
         self.superblocks = superblocks
-        if jit not in JIT_MODES:
-            raise ValueError(
-                f"jit must be one of {JIT_MODES}, got {jit!r}")
-        #: Template-JIT tier policy: "off" keeps every fused block on
-        #: the closure path, "hot" promotes a block's content after
-        #: ``jit_threshold`` executions, "all" JIT-compiles every fused
-        #: block at first dispatch.
-        self.jit = jit
-        self.jit_threshold = max(1, int(jit_threshold))
         #: Content tag of the image this CPU executes (live code
-        #: update): part of the in-process and persistent JIT cache
+        #: update): part of the in-process and persistent artifact
         #: keys, so artifacts from one image version can never be
         #: resurrected for another.  "" (native/unversioned runs)
         #: keeps legacy keys and filenames.
@@ -196,12 +187,15 @@ class CPU:
         self.sb_stats = SuperblockStats()
         #: Flight-recorder hook: ``hook(kind, pc, n)`` with kind one of
         #: "fuse" (superblock compiled, n = fused instructions),
-        #: "sb_invalidate" (a code write killed the block at pc) or
-        #: "flush" (whole decode/superblock cache dropped).  None keeps
-        #: the hot paths hook-free.
+        #: "sb_invalidate" (a code write killed the block at pc),
+        #: "sb_retarget" (a backpatch rebound the block at pc, n = new
+        #: target), "jit_compile"/"jit_load" (a shape's artifact was
+        #: generated / loaded from disk) or "flush" (whole decode and
+        #: superblock cache dropped).  None keeps the hot paths
+        #: hook-free.
         self.trace_hook: Callable[[str, int, int], None] | None = None
         self._decoded: dict[int, Callable[[int], int]] = {}
-        #: Superblock dispatch table: block-start pc -> closure.
+        #: Superblock dispatch table: block-start pc -> function.
         self._blocks: dict[int, Callable[[int], int]] = {}
         #: Block-start pc -> end address (exclusive) of its span.
         self._block_span: dict[int, int] = {}
@@ -209,33 +203,26 @@ class CPU:
         #: whose span touches the bucket; consumers filter candidates
         #: through ``_block_span`` for word precision.
         self._block_cover: dict[int, set[int]] = {}
+        #: Terminator address -> starts of the live blocks that bind
+        #: their ``T`` from the word there (the retarget index).
+        self._block_term: dict[int, set[int]] = {}
         #: Generation counter cell, bumped on every code write; fused
         #: blocks re-check it after stores to catch self-modification.
         self._code_gen = [0]
         #: Precise pc of a fault raised from inside a fused block.
         self._fault_pc: int | None = None
-        #: Content-keyed superblock function cache: raw word tuple ->
-        #: compiled closure.  Generated superblock code is entirely
-        #: offset-relative (absolute targets come from the words
-        #: themselves) and binds only per-CPU state, so identical word
-        #: runs reuse one closure across evict/flush/retranslate cycles
-        #: without re-running codegen or ``exec``.
-        self._sb_fn_cache: dict[tuple[int, ...], Callable[[int], int]] = {}
         #: Reusable ``exec`` namespace for superblock binding (built
         #: lazily; generated code captures everything through default
         #: arguments, so one dict serves every bind).
         self._sb_exec_ns: dict | None = None
-        #: Content key -> shared hotness cell ([execution count]); one
-        #: cell per distinct word run, so retranslated copies of the
-        #: same code pool their heat (jit="hot" tier selection).
-        self._sb_counts: dict[tuple[int, ...], list[int]] = {}
-        #: Content key -> bound JIT-tier function for this CPU.
-        self._sb_jit_fns: dict[tuple[int, ...], Callable[[int], int]] = {}
-        #: Block-start pc -> content key of the block registered there
-        #: (introspection + promotion rebinding).
+        #: Shape key -> this CPU's bound function for the shape.  Blocks
+        #: with a ``T`` parameter get their own copy of it per
+        #: placement; the others dispatch to it directly.
+        self._sb_fns: dict[tuple[int, ...], Callable[[int], int]] = {}
+        #: Block-start pc -> shape key of the compiled block there.
         self._block_key: dict[int, tuple[int, ...]] = {}
         #: Interned id of this CPU's per-op cost table; part of the
-        #: module-level codegen cache key (costs are baked into the
+        #: module-level artifact cache key (costs are baked into the
         #: generated source as literals).
         sig = tuple(sorted((op.value, c) for op, c in
                            costs.op_cycles.items()))
@@ -282,7 +269,10 @@ class CPU:
         Every superblock whose span merely *overlaps* a patched word is
         killed, not just the block starting there — backpatched branch
         words and ``debug_poison`` BREAK words in the middle of a fused
-        run must take effect on the next dispatch.
+        run must take effect on the next dispatch.  The exception is a
+        write within one word that keeps the shape of the terminator
+        blocks bind their ``T`` from: those blocks are retargeted in
+        place (:meth:`_retarget`).
         """
         self._code_gen[0] += 1
         self.sb_stats.code_writes += 1
@@ -291,6 +281,11 @@ class CPU:
         pop = self._decoded.pop
         for a in range(lo, hi, 4):
             pop(a, None)
+        kept = None
+        if hi - lo <= 4:
+            term_starts = self._block_term.get(lo)
+            if term_starts:
+                kept = self._retarget(lo, term_starts)
         cover_get = self._block_cover.get
         span_get = self._block_span.get
         kill = self._kill_block
@@ -299,19 +294,57 @@ class CPU:
             starts = cover_get(bucket)
             if starts:
                 for start in tuple(starts):
+                    if kept is not None and start in kept:
+                        continue
                     end = span_get(start)
                     if end is not None and start < hi and end > lo:
                         kill(start)
 
+    def _retarget(self, addr: int, starts: set[int]) -> set[int] | None:
+        """Rebind ``T`` of every block in *starts* (all end at *addr*)
+        to the new terminator word there, if it kept their shape.
+
+        Returns *starts* when they were retargeted, None when the word
+        changed shape and the blocks must die.  Every live block was
+        built from the current memory contents, so all of *starts*
+        share one shape and one check decides for all of them.
+        """
+        region = self.mem.region_at(addr)
+        view = region.view32
+        if view is not None:
+            word = view[(addr - region.base) >> 2]
+        else:
+            off = addr - region.base
+            word = int.from_bytes(region.buf[off:off + 4], "little")
+        mask = SHAPE_MASKS.get(word >> 26)
+        if mask is None or \
+                self._block_key[next(iter(starts))][-1] != word & mask:
+            return None
+        blocks = self._blocks
+        hook = self.trace_hook
+        for start in starts:
+            fn = blocks[start]
+            target = bound_target(word, addr - start)
+            fn.__defaults__ = fn.__defaults__[:-1] + (target,)
+            if hook is not None:
+                hook("sb_retarget", start, taken_target(word, start, target))
+        self.sb_stats.retargeted_blocks += len(starts)
+        return starts
+
     def _kill_block(self, start: int) -> None:
         self._blocks.pop(start, None)
-        self._block_key.pop(start, None)
+        key = self._block_key.pop(start, None)
         end = self._block_span.pop(start, None)
         self.sb_stats.invalidated_blocks += 1
         if self.trace_hook is not None:
             self.trace_hook("sb_invalidate", start, 0)
         if end is None:
             return
+        if key is not None and key[-1] >> 26 in SHAPE_MASKS:
+            term_starts = self._block_term[end - 4]
+            term_starts.discard(start)
+            if not term_starts:
+                del self._block_term[end - 4]
         cover = self._block_cover
         for bucket in range(start >> _COVER_SHIFT,
                             ((end - 1) >> _COVER_SHIFT) + 1):
@@ -327,6 +360,7 @@ class CPU:
         self._blocks.clear()
         self._block_span.clear()
         self._block_cover.clear()
+        self._block_term.clear()
         self._block_key.clear()
         self._code_gen[0] += 1
         self.sb_stats.flushes += 1
@@ -428,92 +462,38 @@ class CPU:
         fused = len(words)
         if fused < 2:
             return self._register_block(pc, pc + 4, self._decode_at(pc), 0)
-        key = tuple(words)
         end_addr = addr + 4 if has_term else addr
-        mode = self.jit
-        if mode != "off":
-            jfn = self._sb_jit_fns.get(key)
-            if jfn is None and mode == "all":
-                jfn = self._jit_for_key(key, pc)
-            if jfn is not None:
-                self._block_key[pc] = key
-                return self._register_block(pc, end_addr, jfn, fused)
-        fn = self._sb_fn_cache.get(key)
+        target = None
+        if has_term:
+            term = words[-1]
+            mask = SHAPE_MASKS.get(term >> 26)
+            if mask is not None:
+                words[-1] = term & mask
+                target = bound_target(term, addr - pc)
+        key = tuple(words)
+        fn = self._sb_fns.get(key)
         if fn is None:
-            insns, term = self._insns_for_key(key)
-            fn = _compile_superblock(self, 0, insns, term, key)
-            if mode == "hot":
-                fn = self._wrap_hot(key, fn)
-            self._sb_fn_cache[key] = fn
+            fn = self._bind_shape(key, pc)
+        if target is not None:
+            # a private copy: retargeting rebinds its defaults in place
+            fn = FunctionType(fn.__code__, fn.__globals__, "_sb",
+                              fn.__defaults__[:-1] + (target,))
+            term_starts = self._block_term.get(addr)
+            if term_starts is None:
+                self._block_term[addr] = {pc}
+            else:
+                term_starts.add(pc)
         self._block_key[pc] = key
         return self._register_block(pc, end_addr, fn, fused)
 
-    # -- template-JIT tier ------------------------------------------------
-
-    def _wrap_hot(self, key: tuple[int, ...], fn: Callable[[int], int]
-                  ) -> Callable[[int], int]:
-        """Wrap a closure-tier block in a hotness counter that promotes
-        the content to the JIT tier at ``jit_threshold`` executions.
-
-        The count cell is shared per content key, so every pc the same
-        word run is translated to contributes heat; at promotion the
-        dispatch table entry of *every* live block with this content is
-        swapped to the JIT function.  The wrapper adds no simulated
-        instructions or cycles — tiering is host-speed policy only.
-        """
-        cell = self._sb_counts.get(key)
-        if cell is None:
-            cell = [0]
-            self._sb_counts[key] = cell
-        threshold = self.jit_threshold
-        blocks = self._blocks
-
-        def counting(pc: int, fn=fn, cell=cell) -> int:
-            n = cell[0] + 1
-            cell[0] = n
-            if n == threshold:
-                jfn = self._jit_for_key(key, pc)
-                self.jit_stats.jit_promotions += 1
-                self._sb_fn_cache[key] = jfn
-                for start, k in self._block_key.items():
-                    if k == key and start in blocks:
-                        blocks[start] = jfn
-                if self.trace_hook is not None:
-                    self.trace_hook("jit_promote", pc, n)
-                return jfn(pc)
-            return fn(pc)
-        return counting
-
-    def _insns_for_key(self, key: tuple[int, ...]):
-        """Re-derive the relative ``(offset, Insn)`` list (and optional
-        terminator) from a content key.  The fuser only ever places a
-        control transfer last, so the split is unambiguous."""
-        memo = _DECODE_MEMO
-        insns: list[tuple[int, object]] = []
-        term: tuple[int, object] | None = None
-        last = len(key) - 1
-        for i, word in enumerate(key):
-            ins = memo.get(word)
-            if ins is None:
-                ins = decode(word)
-                memo[word] = ins
-            if i == last and ins.op in _SB_TERM_OPS:
-                term = (4 * i, ins)
-            else:
-                insns.append((4 * i, ins))
-        return insns, term
-
-    def _jit_for_key(self, key: tuple[int, ...], pc: int
-                     ) -> Callable[[int], int]:
-        """Bind the JIT-tier function for a content key: per-CPU cache,
-        then the in-process compiled cache, then the persistent
-        artifact store, then (cold) codegen + store."""
-        jfn = self._sb_jit_fns.get(key)
-        if jfn is not None:
-            return jfn
+    def _bind_shape(self, key: tuple[int, ...], pc: int
+                    ) -> Callable[[int], int]:
+        """Bind this CPU's function for a shape key: the in-process
+        compiled cache, then the persistent artifact store, then
+        (cold) codegen + store."""
         js = self.jit_stats
         cache_key = (self._sb_cost_tag, self.image_tag, key)
-        cached = _SB_JIT_COMPILED.get(cache_key)
+        cached = _SB_COMPILED.get(cache_key)
         kind = None
         if cached is not None:
             js.jit_mem_hits += 1
@@ -525,95 +505,68 @@ class CPU:
                 js.jit_disk_hits += 1
                 kind = "jit_load"
             else:
-                insns, term = self._insns_for_key(key)
-                cached = jit_codegen(self.costs.op_cycles, insns, term)
+                cached = jit_codegen(self.costs.op_cycles,
+                                     *_insns_for_key(key))
                 js.jit_codegen += 1
                 kind = "jit_compile"
                 if jitcache.store(digest, *cached):
                     js.jit_disk_stores += 1
-            _SB_JIT_COMPILED[cache_key] = cached
-        jfn = _bind_superblock(self, cached[0], cached[1])
-        self._sb_jit_fns[key] = jfn
+            _SB_COMPILED[cache_key] = cached
+        fn = _bind_superblock(self, cached[0], cached[1])
+        self._sb_fns[key] = fn
         js.jit_blocks += 1
         js.jit_instructions += len(key)
         if kind is not None and self.trace_hook is not None:
             self.trace_hook(kind, pc, len(key))
-        return jfn
+        return fn
 
     def superblock_info(self, pc: int) -> list[dict]:
         """Describe every live block whose span covers *pc* (for
-        ``repro debug --dump-superblock``): start/end, tier
-        ("jit"/"closure"/"single"), instruction count, hotness count
-        (None when untracked, e.g. jit="all") and generated source."""
+        ``repro debug --dump-superblock``): start/end, kind
+        ("compiled"/"single"), instruction count, the guest words, and
+        for compiled blocks the bound target ``T`` (None without a
+        J/JAL/branch terminator), the absolute taken target and the
+        generated source every block of the shape shares."""
         span_get = self._block_span.get
         starts = sorted(
             s for s in self._block_cover.get(pc >> _COVER_SHIFT, ())
             if s <= pc < span_get(s, s + 4))
         out: list[dict] = []
         for start in starts:
-            end = self._block_span.get(start, start + 4)
+            end = span_get(start, start + 4)
             key = self._block_key.get(start)
-            if key is None:
-                out.append({"start": start, "end": end, "tier": "single",
-                            "instructions": (end - start) // 4,
-                            "hits": None, "source": None, "words": None})
-                continue
-            jit = key in self._sb_jit_fns
-            cached = (_SB_JIT_COMPILED.get(
-                          (self._sb_cost_tag, self.image_tag, key))
-                      if jit else
-                      _SB_COMPILED_CACHE.get((self._sb_cost_tag, key)))
-            cell = self._sb_counts.get(key)
-            out.append({
-                "start": start, "end": end,
-                "tier": "jit" if jit else "closure",
-                "instructions": len(key),
-                "hits": cell[0] if cell is not None else None,
-                "source": cached[2] if cached is not None else None,
-                "words": list(key),
-            })
+            info = {"start": start, "end": end, "kind": "single",
+                    "instructions": (end - start) // 4, "T": None,
+                    "target": None, "source": None,
+                    "words": [self.mem.read_word(a)
+                              for a in range(start, end, 4)]}
+            if key is not None:
+                cached = _SB_COMPILED.get(
+                    (self._sb_cost_tag, self.image_tag, key))
+                info["kind"] = "compiled"
+                info["source"] = cached[2] if cached is not None else None
+                if key[-1] >> 26 in SHAPE_MASKS:
+                    t = self._blocks[start].__defaults__[-1]
+                    info["T"] = t
+                    info["target"] = taken_target(key[-1], start, t)
+            out.append(info)
         return out
 
-    def superblock_census(self, top: int = 10) -> dict:
-        """Tier counts + hottest blocks over every live superblock.
-
-        The ops plane's ``/inspect/superblocks`` snapshot: how many
-        live blocks run at each interpreter tier
-        ("jit"/"closure"/"single"), the JIT policy knobs, and the
-        *top* hottest tracked blocks by hotness-cell count.  Read-only
-        over the dispatch tables; hotness cells are None when
-        untracked (``jit="all"`` promotes eagerly and keeps no
-        counts).
-        """
-        tiers = {"jit": 0, "closure": 0, "single": 0}
-        entries: list[tuple[int, int, str, int, int | None]] = []
-        jit_fns = self._sb_jit_fns
-        key_get = self._block_key.get
-        span_get = self._block_span.get
-        count_get = self._sb_counts.get
-        for start in list(self._blocks):
-            key = key_get(start)
-            if key is None:
-                tiers["single"] += 1
-                continue
-            tier = "jit" if key in jit_fns else "closure"
-            tiers[tier] += 1
-            cell = count_get(key)
-            entries.append((start, span_get(start, start + 4), tier,
-                            len(key), cell[0] if cell else None))
-        entries.sort(key=lambda e: -1 if e[4] is None else e[4],
-                     reverse=True)
+    def superblock_census(self) -> dict:
+        """Counts over every live dispatch entry: the ops plane's
+        ``/inspect/superblocks`` snapshot.  ``kinds`` splits the live
+        blocks into "compiled" superblocks and "single"
+        per-instruction entries; ``shapes`` is the number of distinct
+        shape keys bound on this CPU.  Read-only over the dispatch
+        tables."""
+        compiled = len(self._block_key)
         return {
-            "blocks": tiers["jit"] + tiers["closure"] + tiers["single"],
-            "tiers": tiers,
-            "jit_mode": self.jit,
-            "jit_threshold": self.jit_threshold,
+            "blocks": len(self._blocks),
+            "kinds": {"compiled": compiled,
+                      "single": len(self._blocks) - compiled},
+            "shapes": len(self._sb_fns),
+            "retargeted": self.sb_stats.retargeted_blocks,
             "jit_codegen": self.jit_stats.jit_codegen,
-            "jit_promotions": self.jit_stats.jit_promotions,
-            "hottest": [
-                {"start": s, "end": e, "tier": t, "instructions": n,
-                 "hits": h}
-                for s, e, t, n, h in entries[:top]],
         }
 
     # -- execution ---------------------------------------------------------
@@ -1065,100 +1018,57 @@ def _f_halt(cpu: CPU, ins, pc: int):
 
 
 # ---------------------------------------------------------------------------
-# Superblock compiler.  A straight-line run of simple instructions (ALU,
-# loads, stores) plus an optional fused control-transfer terminator is
-# compiled into ONE Python function executing the whole block per
-# dispatch.  Stats are batched into a single update at the block end;
-# if a memory access faults mid-block, the except handler maps the
-# traceback line back to the faulting instruction and commits exactly
-# the per-instruction counts for the executed prefix (including the
-# faulting op), so a mid-block MemoryFault is indistinguishable from
-# per-instruction execution.  All addresses are emitted relative to the
-# entry pc, so blocks with identical instruction content share one
-# compiled code object through ``_SB_CODE_CACHE`` — retranslation under
-# tcache thrashing never pays the compile cost twice.
+# Superblock binding.  Generation lives in :mod:`repro.sim.jit`; this
+# side keeps the in-process artifact cache and binds a code object to
+# one CPU's registers, stats and memory.
 # ---------------------------------------------------------------------------
 
-_M = "4294967295"       # MASK32 literal
-_S = "2147483648"       # sign-flip literal
-
-_SB_CODE_CACHE: dict[str, object] = {}
-
-#: (cost tag, word tuple) -> (code object, fault-fixup table, source)
-#: for the closure tier.  Lets a fresh CPU (new benchmark round, new
-#: client system) skip source generation entirely for content it has
-#: seen under the same cost model; only the per-CPU ``exec`` binding
-#: runs.
-_SB_COMPILED_CACHE: dict[tuple, tuple[object, dict, str]] = {}
-
-#: Same idea for the JIT tier: (cost tag, image tag, word tuple) -> the
-#: ``(code, fixups, src)`` triple produced by :func:`jit_codegen` (or
-#: loaded from the persistent store in :mod:`repro.sim.jitcache`).
-_SB_JIT_COMPILED: dict[tuple, tuple[object, dict, str]] = {}
+#: (cost tag, image tag, shape key) -> the ``(code, fixups, src)``
+#: triple produced by :func:`jit_codegen` (or loaded from the
+#: persistent store in :mod:`repro.sim.jitcache`).  Lets a fresh CPU
+#: (new benchmark round, new client system) skip codegen for shapes
+#: seen under the same cost model; only the per-CPU ``exec`` runs.
+_SB_COMPILED: dict[tuple, tuple[object, dict, str]] = {}
 
 #: Cost-table signature -> small interned tag (see CPU._sb_cost_tag).
 _COST_TAGS: dict[tuple, int] = {}
 
 
-def _sb_term_lines(ins, off: int) -> list[str]:
-    """Statement lines for a fused terminator at block offset *off*."""
-    op = ins.op
-    if op in _SB_BRANCH_COND:
-        taken = off + 4 + (ins.imm << 2)
-        fall = off + 4
-        cond = _SB_BRANCH_COND[op](f"r[{ins.rs1}]", f"r[{ins.rs2}]")
-        return [f"return pc + {taken} if {cond} else pc + {fall}"]
-    if op is Op.J:
-        return [f"return {ins.imm << 2}"]
-    if op is Op.JAL:
-        return [f"r[{RA}] = pc + {off + 4}", f"return {ins.imm << 2}"]
-    if op is Op.JR:
-        return [f"return r[{ins.rs1}]"]
-    if op is Op.JALR:
-        if ins.rd:
-            return [f"v = r[{ins.rs1}]",
-                    f"r[{ins.rd}] = pc + {off + 4}",
-                    "return v"]
-        return [f"return r[{ins.rs1}]"]
-    if op is Op.RET:
-        return [f"return r[{RA}]"]
-    raise AssertionError(op)  # pragma: no cover
-
-
-def _compile_superblock(cpu: CPU, start: int, insns, term, key=None):
-    """Generate, compile and bind the superblock closure for *insns*
-    (list of ``(addr, Insn)``) with optional fused terminator *term*.
-
-    With *key* (the raw word tuple) the generated code object and its
-    fault-fixup table are reused from :data:`_SB_COMPILED_CACHE`
-    across CPUs sharing a cost table; only the ``exec`` that binds
-    this CPU's registers/stats/memory runs per CPU.
-    """
-    cache_key = (cpu._sb_cost_tag, key) if key is not None else None
-    cached = (_SB_COMPILED_CACHE.get(cache_key)
-              if cache_key is not None else None)
-    if cached is None:
-        cached = _sb_codegen(cpu.costs.op_cycles, start, insns, term)
-        if cache_key is not None:
-            _SB_COMPILED_CACHE[cache_key] = cached
-    code, fixups, _src = cached
-    return _bind_superblock(cpu, code, fixups)
+def _insns_for_key(key: tuple[int, ...]):
+    """Re-derive the relative ``(offset, Insn)`` list and the optional
+    terminator from a shape key.  The fuser only ever places a control
+    transfer last, so the split is unambiguous (a masked terminator
+    word still decodes to its opcode and registers)."""
+    memo = _DECODE_MEMO
+    insns: list[tuple[int, object]] = []
+    term: tuple[int, object] | None = None
+    last = len(key) - 1
+    for i, word in enumerate(key):
+        ins = memo.get(word)
+        if ins is None:
+            ins = decode(word)
+            memo[word] = ins
+        if i == last and ins.op in _SB_TERM_OPS:
+            term = (4 * i, ins)
+        else:
+            insns.append((4 * i, ins))
+    return insns, term
 
 
 def _bind_superblock(cpu: CPU, code, fixups):
     """``exec`` a generated superblock code object against this CPU's
-    registers/stats/memory and return the bound function.  Shared by
-    the closure tier and the JIT tier (both templates draw from the
-    same namespace of default-argument bindings).
+    registers/stats/memory and return the bound function.
 
     The namespace dict is built once per CPU and reused for every
     bind: generated functions capture their bindings as default
     arguments at ``exec`` time, so mutating ``_F`` between binds
-    cannot affect already-bound blocks."""
+    cannot affect already-bound blocks.  ``_T`` is a placeholder:
+    blocks with a target parameter are copied per placement with
+    their own ``T``."""
     ns = cpu._sb_exec_ns
     if ns is None:
         mem = cpu.mem
-        # the JIT template's inline memory fast path binds one region:
+        # the template's inline memory fast path binds one region:
         # the largest plain-RAM mapping (readable, writable, never
         # executable — so in-bounds stores cannot rewrite code and the
         # views can be indexed without permission checks).  Everything
@@ -1178,7 +1088,7 @@ def _bind_superblock(cpu: CPU, code, fixups):
             "_rh": mem.read_half, "_rb": mem.read_byte,
             "_ww": mem.write_word, "_wh": mem.write_half,
             "_wb": mem.write_byte, "_sgn": to_signed32, "_sdiv": _sdiv,
-            "_srem": _srem,
+            "_srem": _srem, "_T": 0,
             "_fB": fast.base if fast else 1,
             "_fE": fast.end_addr if fast else 0,
             "_fV": fast.view32 if fast else None,
@@ -1189,111 +1099,3 @@ def _bind_superblock(cpu: CPU, code, fixups):
         ns["_F"] = fixups
     exec(code, ns)
     return ns["_sb"]
-
-
-def _sb_codegen(costs, start: int, insns, term):
-    """Generate (code object, fixup table, source) for one superblock
-    in the closure-tier template (registers stay in ``r[...]``)."""
-    body: list[str] = []
-    used: set[str] = set()
-    has_mem = False
-    has_store = False
-    tot_n = 0
-    tot_c = 0
-    #: (body line index, block offset, counts incl. that op) per mem op.
-    mem_marks: list[tuple[int, int, int, int]] = []
-
-    for addr, ins in insns:
-        op = ins.op
-        off = addr - start
-        tot_n += 1
-        tot_c += costs[op]
-        if op in _SB_LOADS:
-            reader, sign_bits = _SB_LOADS[op]
-            used.add(reader)
-            has_mem = True
-            addr_expr = f"(r[{ins.rs1}] + ({ins.imm})) & {_M}"
-            rd = ins.rd
-            mem_marks.append((len(body), off, tot_n, tot_c))
-            if rd == 0:
-                # read for fault semantics, discard the value
-                body.append(f"{reader}({addr_expr})")
-            elif sign_bits is None:
-                body.append(f"r[{rd}] = {reader}({addr_expr})")
-            else:
-                flip = 1 << (sign_bits - 1)
-                wrap = 1 << sign_bits
-                body.append(f"v = {reader}({addr_expr})")
-                body.append(
-                    f"r[{rd}] = (v - {wrap}) & {_M} if v & {flip} else v")
-        elif op in _SB_STORES:
-            writer = _SB_STORES[op]
-            used.add(writer)
-            has_mem = True
-            has_store = True
-            mem_marks.append((len(body), off, tot_n, tot_c))
-            body.append(f"{writer}((r[{ins.rs1}] + ({ins.imm})) & {_M}, "
-                        f"r[{ins.rd}])")
-            # the store may have rewritten code (even this block):
-            # commit the executed prefix and fall back to fresh dispatch
-            # so patched words take effect exactly as they would under
-            # per-instruction decode
-            body.append(f"if cw[0] != g: st[0] += {tot_n}; "
-                        f"st[1] += {tot_c}; return pc + {off + 4}")
-        else:
-            if op in _SB_ALU_R:
-                expr = _SB_ALU_R[op](f"r[{ins.rs1}]", f"r[{ins.rs2}]")
-                used.update(_SB_ALU_R_HELPERS.get(op, ()))
-            else:
-                expr = _sb_alu_i_expr(ins, f"r[{ins.rs1}]")
-                if op is Op.SRAI:
-                    used.add("sgn")
-            if ins.rd:
-                body.append(f"r[{ins.rd}] = {expr}")
-
-    if term is not None:
-        taddr, tins = term
-        tot_n += 1
-        tot_c += costs[tins.op]
-        body.append(f"st[0] += {tot_n}; st[1] += {tot_c}")
-        body.extend(_sb_term_lines(tins, taddr - start))
-    else:
-        body.append(f"st[0] += {tot_n}; st[1] += {tot_c}")
-        body.append(f"return pc + {insns[-1][0] + 4 - start}")
-
-    params = ["pc", "r=_r", "st=_st"]
-    if has_store:
-        params.append("cw=_cw")
-    if has_mem:
-        params.append("C=_C")
-        params.append("F=_F")
-    for name in ("rw", "rh", "rb", "ww", "wh", "wb",
-                 "sgn", "sdiv", "srem"):
-        if name in used:
-            params.append(f"{name}=_{name}")
-    lines = [f"def _sb({', '.join(params)}):"]
-    fixups: dict[int, tuple[int, int, int]] = {}
-    if has_mem:
-        if has_store:
-            lines.append("    g = cw[0]")
-        lines.append("    try:")
-        lines.extend("        " + stmt for stmt in body)
-        lines.append("    except Exception as e:")
-        lines.append("        f = F.get(e.__traceback__.tb_lineno)")
-        lines.append("        if f is not None:")
-        lines.append("            st[0] += f[1]; st[1] += f[2]")
-        lines.append("            C._fault_pc = pc + f[0]")
-        lines.append("        raise")
-        # body line i sits at source line i + base (def line, optional
-        # generation snapshot, try:, then 1-based numbering)
-        base = 3 + (1 if has_store else 0)
-        fixups = {i + base: (off, n, c) for i, off, n, c in mem_marks}
-    else:
-        lines.extend("    " + stmt for stmt in body)
-    src = "\n".join(lines) + "\n"
-
-    code = _SB_CODE_CACHE.get(src)
-    if code is None:
-        code = compile(src, "<superblock>", "exec")
-        _SB_CODE_CACHE[src] = code
-    return code, fixups, src

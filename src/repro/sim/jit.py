@@ -1,23 +1,21 @@
 """Template-JIT: superblocks compiled to specialized Python source.
 
-This module is the code generator for the interpreter's hottest tier.
-Where the closure tier (:func:`repro.sim.cpu._sb_codegen`) keeps guest
-registers in the shared ``r[...]`` list and pays one subscript per
-operand, the JIT template promotes every guest register the block
-touches into a **Python local variable**: registers read before being
-written are loaded once in a prologue, intermediate values flow
-local-to-local, and modified registers are spilled back to ``r[...]``
-only at the block's exits (terminator, fall-through, the
-self-modification side exit after a store, and the fault fix-up path).
-Constants are folded at generation time — ``LUI`` seeds a known
-constant, and any ALU op whose sources are all known constants is
-evaluated during codegen by ``eval``-ing the *same expression text*
-that would otherwise be emitted, so folding can never diverge from the
-runtime semantics.  Guards and side exits appear only where the
-architecture demands them: at the branch terminator and at memory
-operations (which may trap) — straight-line arithmetic runs unguarded
-and the simulated (instruction, cycle) counters are accumulated as one
-batched literal add per exit.
+This module is the interpreter's one superblock code generator.  The
+template promotes every guest register the block touches into a
+**Python local variable**: registers read before being written are
+loaded once in a prologue, intermediate values flow local-to-local,
+and modified registers are spilled back to ``r[...]`` only at the
+block's exits (terminator, fall-through, the self-modification side
+exit after a store, and the fault fix-up path).  Constants are folded
+at generation time — ``LUI`` seeds a known constant, and any ALU op
+whose sources are all known constants is evaluated during codegen by
+``eval``-ing the *same expression text* that would otherwise be
+emitted, so folding can never diverge from the runtime semantics.
+Guards and side exits appear only where the architecture demands
+them: at the branch terminator and at memory operations (which may
+trap) — straight-line arithmetic runs unguarded and the simulated
+(instruction, cycle) counters are accumulated as one batched literal
+add per exit.
 
 The generated function is *cycle-identical* to per-instruction
 dispatch by construction: exit paths commit exactly the counts the
@@ -26,7 +24,16 @@ the traceback line back to the faulting instruction, commits the
 prefix counts, records the precise fault pc and spills the registers
 that were architecturally written before the fault.
 
-Artifacts are pure functions of (cost table, raw instruction words):
+Blocks are generated per **shape**: the block's words with the target
+field of a J/JAL/branch terminator masked out (:data:`SHAPE_MASKS`).
+The target is not in the source; it is the function's last default
+argument ``T`` (J/JAL: the absolute target; branch: the taken offset
+from the block entry), bound per placement and rebound in place when
+a backpatch rewrites the terminator without changing its shape.  Every
+placement of one chunk — whatever its link targets — therefore shares
+one code object.
+
+Artifacts are pure functions of (cost table, shape words):
 :data:`JIT_CODEGEN_VERSION` participates in every cache key, in-process
 and on disk (:mod:`repro.sim.jitcache`), so changing the template here
 can never resurrect stale generated code.
@@ -50,10 +57,8 @@ _S = "2147483648"       # sign-flip literal
 #: v2: memory ops inline a bounds-checked fast path against one bound
 #: data region (stack, typically) and only fall back to the accessor
 #: call — and its self-modification guard — for addresses outside it.
-JIT_CODEGEN_VERSION = 2
-
-#: Valid values of the ``jit`` knob (MachineConfig / SoftCacheConfig).
-JIT_MODES = ("off", "hot", "all")
+#: v3: shape keys — J/JAL/branch targets come from the bound ``T``.
+JIT_CODEGEN_VERSION = 3
 
 
 def _sdiv(a: int, b: int) -> int:
@@ -130,11 +135,37 @@ _SB_STRAIGHT_OPS = (frozenset(_SB_ALU_R) | _SB_ALU_I_OPS |
 _SB_TERM_OPS = (frozenset(_SB_BRANCH_COND) |
                 frozenset({Op.J, Op.JAL, Op.JR, Op.JALR, Op.RET}))
 
+_J_OPNUMS = frozenset({Op.J.value, Op.JAL.value})
+
+#: Primary opcode of a terminator with a patchable target -> mask that
+#: keeps everything but the target field: J/JAL keep the opcode, a
+#: branch keeps opcode and registers.  ``word & mask`` is the word's
+#: shape; blocks ending in such a word bind the target as ``T``.
+SHAPE_MASKS: dict[int, int] = {
+    **{n: 0xFC000000 for n in _J_OPNUMS},
+    **{op.value: 0xFFFF0000 for op in _SB_BRANCH_COND},
+}
+
+
+def bound_target(word: int, toff: int) -> int:
+    """The ``T`` bound for terminator *word* at block offset *toff*:
+    the absolute target of a J/JAL, the taken offset from the block
+    entry of a branch."""
+    if word >> 26 in _J_OPNUMS:
+        return (word & 0x03FFFFFF) << 2
+    return toff + 4 + ((((word & 0xFFFF) ^ 0x8000) - 0x8000) << 2)
+
+
+def taken_target(word: int, start: int, t: int) -> int:
+    """Absolute taken target of a block at *start* whose terminator
+    *word* (or its shape) binds *t*."""
+    return t if word >> 26 in _J_OPNUMS else start + t
+
 
 def _sb_alu_i_expr(ins, a: str) -> str:
     """Expression for a register-immediate ALU op with source text *a*
-    (``r[n]`` in the closure tier, a local or folded literal in the
-    JIT tier); immediates are folded into the text."""
+    (a local or a folded literal); immediates are folded into the
+    text."""
     op, imm = ins.op, ins.imm
     if op is Op.ADDI:
         return f"({a} + ({imm})) & {_M}"
@@ -162,19 +193,17 @@ def _sb_alu_i_expr(ins, a: str) -> str:
 
 @dataclass
 class JitStats:
-    """Counters for the template-JIT tier (published as ``cpu.jit_*``).
+    """Counters for compiled superblocks (published as ``cpu.jit_*``).
 
     The warm-run contract lives here: a process that finds every
     artifact in the persistent store ends a run with
     ``jit_codegen == 0`` and ``jit_disk_hits > 0``.
     """
 
-    #: JIT-tier block functions bound for this CPU (per content key).
+    #: Block functions bound for this CPU (one per shape key).
     jit_blocks: int = 0
     #: Instructions covered by those blocks.
     jit_instructions: int = 0
-    #: Dispatch-table swaps closure -> JIT (hot tier promotions).
-    jit_promotions: int = 0
     #: Source generations actually executed (cold compiles).
     jit_codegen: int = 0
     #: Artifacts reused from the in-process compiled cache.
@@ -201,7 +230,9 @@ def jit_codegen(costs, insns, term):
     *insns* is a list of ``(offset, Insn)`` with offsets relative to
     the block entry; *term* is ``(offset, Insn)`` for an optional fused
     control-transfer terminator.  *costs* maps opcodes to cycle costs
-    (baked into the batched stats literals).
+    (baked into the batched stats literals).  A J/JAL/branch
+    terminator's immediate is ignored: its target is read from the
+    last parameter ``T`` (see :func:`bound_target`).
 
     The fix-up table maps a source line number (of a memory operation)
     to ``(offset, instructions, cycles, writebacks)`` where
@@ -394,17 +425,15 @@ def jit_codegen(costs, insns, term):
         body.append(f"st[0] += {tot_n}; st[1] += {tot_c}")
         body.extend(spill_lines())
         if top in _SB_BRANCH_COND:
-            taken = toff + 4 + (tins.imm << 2)
-            fall = toff + 4
             cond = _SB_BRANCH_COND[top](operand(tins.rs1),
                                         operand(tins.rs2))
-            body.append(f"return pc + {taken} if {cond} "
-                        f"else pc + {fall}")
+            body.append(f"return pc + T if {cond} "
+                        f"else pc + {toff + 4}")
         elif top is Op.J:
-            body.append(f"return {tins.imm << 2}")
+            body.append("return T")
         elif top is Op.JAL:
             body.append(f"r[{RA}] = pc + {toff + 4}")
-            body.append(f"return {tins.imm << 2}")
+            body.append("return T")
         elif top is Op.JR:
             body.append(f"return {operand(tins.rs1)}")
         elif top is Op.JALR:
@@ -438,6 +467,8 @@ def jit_codegen(costs, insns, term):
     for name in ("V", "H", "BUF"):
         if name in used:
             params.append(f"{name}=_f{name}")
+    if term is not None and term[1].op.value in SHAPE_MASKS:
+        params.append("T=_T")  # last: placements rebind only this
 
     lines = [f"def _sb({', '.join(params)}):"]
     n_prologue = 0

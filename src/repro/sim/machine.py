@@ -41,15 +41,10 @@ class MachineConfig:
     #: Extra heap bytes mapped beyond the image's static data.
     heap_size: int = 256 * 1024
     costs: CostModel = field(default_factory=lambda: DEFAULT_COSTS)
-    #: Fuse straight-line code into superblocks (host-side speed only;
-    #: simulated instruction/cycle counts are identical either way).
+    #: Compile straight-line code into superblocks (host-side speed
+    #: only; simulated instruction/cycle counts are identical either
+    #: way).
     superblocks: bool = True
-    #: Template-JIT tier: "off", "hot" (promote after jit_threshold
-    #: executions) or "all" (compile every fused block eagerly).  Like
-    #: superblocks, host speed only — cycle-identical by construction.
-    jit: str = "hot"
-    #: Executions of a superblock's content before JIT promotion.
-    jit_threshold: int = 16
 
 
 class Machine:
@@ -63,9 +58,7 @@ class Machine:
         self.mem = Memory()
         self._build_memory()
         self.cpu = CPU(self.mem, self.config.costs,
-                       superblocks=self.config.superblocks,
-                       jit=self.config.jit,
-                       jit_threshold=self.config.jit_threshold)
+                       superblocks=self.config.superblocks)
         self.cpu.pc = image.entry
         self.output = bytearray()
         #: Hook invoked by the INVALIDATE syscall: ``fn(addr, length)``.

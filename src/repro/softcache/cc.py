@@ -820,7 +820,9 @@ class BaseCacheController:
             self.stats.admin_commands += 1
             try:
                 result = self._admin_dispatch(cmd.verb, cmd.args)
-            except (ValueError, TCacheFull, SoftCacheError) as exc:
+            except (ValueError, TypeError, TCacheFull,
+                    SoftCacheError) as exc:
+                # TypeError: an argument the verb does not take
                 cmd.fail(str(exc))
             else:
                 ctl.applied += 1
@@ -844,15 +846,11 @@ class BaseCacheController:
         return {"verb": "flush", "blocks_dropped": dropped}
 
     def admin_set(self, *, prefetch_depth: int | None = None,
-                  jit: str | None = None,
-                  jit_threshold: int | None = None,
                   policy: str | None = None) -> dict:
         """Retune the runtime knobs that are safe to flip mid-run.
 
         ``prefetch_depth`` shapes the *next* miss exchange (the check
-        site runs before the serve path reads it); ``jit`` /
-        ``jit_threshold`` steer the host-speed-only interpreter tier
-        and can never change simulated counts; ``policy`` swaps the
+        site runs before the serve path reads it); ``policy`` swaps the
         replacement policy (fresh metadata — a mid-run ``trrip`` has
         no temperature map and degrades to neutral seeding).
         """
@@ -866,17 +864,6 @@ class BaseCacheController:
                 raise ValueError("prefetch_depth must be >= 0")
             self.prefetch_depth = depth
             applied["prefetch_depth"] = depth
-        if jit is not None:
-            if jit not in ("off", "hot", "all"):
-                raise ValueError(f"unknown jit mode {jit!r}")
-            self.cpu.jit = jit
-            applied["jit"] = jit
-        if jit_threshold is not None:
-            threshold = int(jit_threshold)
-            if threshold < 1:
-                raise ValueError("jit_threshold must be >= 1")
-            self.cpu.jit_threshold = threshold
-            applied["jit_threshold"] = threshold
         if len(applied) == 1:
             raise ValueError("admin set: no knob given")
         return applied

@@ -355,9 +355,10 @@ def dump_tcache(cc: BaseCacheController) -> str:
 
 def dump_superblock(cpu, pc: int) -> str:
     """Human-readable report on the superblock(s) covering *pc*: span,
-    tier (jit / closure / single), execution count where tracked, the
-    guest disassembly and — for compiled tiers — the generated Python
-    source actually dispatched (``repro debug --dump-superblock``)."""
+    kind (compiled / single), the guest disassembly and — for compiled
+    blocks — the bound target ``T`` beside the generated Python source
+    every block of the shape shares (``repro debug
+    --dump-superblock``)."""
     infos = cpu.superblock_info(pc)
     if not infos:
         return (f"no live superblock covers pc {pc:#x} "
@@ -365,10 +366,10 @@ def dump_superblock(cpu, pc: int) -> str:
     lines = []
     for info in infos:
         lines.append(f"superblock @{info['start']:#x}..{info['end']:#x} "
-                     f"tier={info['tier']} "
+                     f"kind={info['kind']} "
                      f"instructions={info['instructions']}"
-                     + (f" hits={info['hits']}"
-                        if info['hits'] is not None else ""))
+                     + (f" T={info['T']} (taken -> {info['target']:#x})"
+                        if info['T'] is not None else ""))
         words = info.get("words")
         if words:
             lines.append("  guest code:")
@@ -380,7 +381,7 @@ def dump_superblock(cpu, pc: int) -> str:
                     text = f".word {word:#010x}"
                 lines.append(f"    {addr:#010x}: {text}")
         if info.get("source"):
-            lines.append("  generated source:")
+            lines.append("  generated source (shared by the shape):")
             lines.extend("    " + ln
                          for ln in info["source"].rstrip().splitlines())
         lines.append("")

@@ -65,13 +65,9 @@ class SoftCacheConfig:
     #: Enable the Section-3 software data cache (full-system mode).
     #: A :class:`repro.dcache.DataCacheConfig` or None.
     data_cache: object | None = None
-    #: Superblock (threaded-code) execution in the interpreter.  Host
-    #: speed only; never changes simulated counts.
+    #: Compiled-superblock execution in the interpreter.  Host speed
+    #: only; never changes simulated counts.
     superblocks: bool = True
-    #: Template-JIT tier policy ("off" | "hot" | "all") and the hotness
-    #: threshold for "hot".  Host speed only; cycle-identical.
-    jit: str = "hot"
-    jit_threshold: int = 16
     #: Flight recorder (:class:`repro.obs.FlightRecorder`) to thread
     #: through every layer, or None (the default: hot paths stay
     #: tracer-free).  Tracing never charges simulated cycles, so an
@@ -136,8 +132,6 @@ class SoftCacheSystem:
             heap_size=config.heap_size,
             costs=config.costs,
             superblocks=config.superblocks,
-            jit=config.jit,
-            jit_threshold=config.jit_threshold,
         ))
         if shared_mc is not None:
             knows = getattr(shared_mc, "knows_image", None)
@@ -167,12 +161,13 @@ class SoftCacheSystem:
                     trc.emit("interp.fuse", "interp", pc=pc, fused=n)
                 elif kind == "sb_invalidate":
                     trc.emit("interp.sb_invalidate", "interp", pc=pc)
+                elif kind == "sb_retarget":
+                    trc.emit("interp.sb_retarget", "interp", pc=pc,
+                             target=n)
                 elif kind == "jit_compile":
                     trc.emit("cpu.jit_compile", "cpu", pc=pc, fused=n)
                 elif kind == "jit_load":
                     trc.emit("cpu.jit_load", "cpu", pc=pc, fused=n)
-                elif kind == "jit_promote":
-                    trc.emit("cpu.jit_promote", "cpu", pc=pc, count=n)
                 else:
                     trc.emit("interp.flush", "interp")
 
@@ -297,7 +292,7 @@ class SoftCacheSystem:
         occupancy from the LinkIndex), stub/redirector/pinned area
         occupancy, per-chunk heat (demand misses seen by the flight
         recorder, when one is attached), and the interpreter's
-        superblock tier census.  Touches nothing: no simulated cycles
+        compiled/single block census.  Touches nothing: no simulated cycles
         are charged, no state mutated, so snapshots are invisible to
         the architectural digest.
         """

@@ -1,13 +1,15 @@
-"""Template-JIT tier: equivalence, invalidation, persistence.
+"""Compiled superblocks: equivalence, retargeting, invalidation,
+persistence.
 
-The JIT tier compiles fused superblocks to specialized Python source
-(registers as locals, constants folded, batched cycle accounting).
-Like the closure tier it must be architecturally invisible — identical
-registers, output, instruction and cycle counts to per-instruction
-dispatch — including under dynamic rewriting: a patch overlapping a
-JIT'd block must drop it exactly like a closure.  Compiled artifacts
-persist in the trace cache, so a warm process binds blocks with zero
-codegen.
+Every fused superblock is compiled to specialized Python source
+(registers as locals, constants folded, batched cycle accounting)
+keyed by its shape — its words with a J/JAL/branch terminator's target
+masked, the target bound per block as ``T``.  Compiled blocks must be
+architecturally invisible — identical registers, output, instruction
+and cycle counts to per-instruction dispatch — including under dynamic
+rewriting: a same-shape backpatch rebinds ``T`` in place, any other
+patch overlapping a block drops it.  Compiled artifacts persist in the
+trace cache, so a warm process binds blocks with zero codegen.
 """
 
 import json
@@ -20,13 +22,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.asm import assemble_and_link
-from repro.isa import Insn, Op, encode
+from repro.isa import Insn, Op, Trap, decode, encode
 from repro.sim import (
     CycleLimitExceeded,
     JIT_CODEGEN_VERSION,
     Machine,
     MachineConfig,
+    MemoryFault,
 )
+from repro.sim import cpu as cpu_mod
 from repro.sim import jitcache
 from repro.softcache import SoftCacheConfig, SoftCacheSystem
 from repro.workloads import build_workload
@@ -62,14 +66,8 @@ BODY_LEN = 7  # six straight-line words + the bne terminator
 
 _IMAGE = assemble_and_link(LOOP_SRC, "loop")
 
-#: Configs whose architectural results must be indistinguishable.
-_MODES = {
-    "per_insn": MachineConfig(superblocks=False),
-    "closure": MachineConfig(superblocks=True, jit="off"),
-    "jit_hot": MachineConfig(superblocks=True, jit="hot",
-                             jit_threshold=2),
-    "jit_all": MachineConfig(superblocks=True, jit="all"),
-}
+PER_INSN = MachineConfig(superblocks=False)
+COMPILED = MachineConfig(superblocks=True)
 
 
 def _run_mode(image, config):
@@ -79,42 +77,41 @@ def _run_mode(image, config):
             machine.output_text, list(machine.cpu.regs)), machine
 
 
-# -- cycle-identity across tiers --------------------------------------
+# -- cycle-identity: compiled ≡ per-instruction ------------------------
 
 
-@pytest.mark.parametrize("mode", ["closure", "jit_hot", "jit_all"])
-def test_jit_equivalent_on_loop(mode):
-    want, _ = _run_mode(_IMAGE, _MODES["per_insn"])
-    got, machine = _run_mode(_IMAGE, _MODES[mode])
+def test_jit_equivalent_on_loop():
+    want, _ = _run_mode(_IMAGE, PER_INSN)
+    got, machine = _run_mode(_IMAGE, COMPILED)
     assert got == want
-    if mode != "closure":
-        assert machine.cpu.jit_stats.jit_blocks > 0
+    assert machine.cpu.jit_stats.jit_blocks > 0
 
 
 def test_jit_equivalent_on_workload():
     image = build_workload("sensor", 0.02)
-    want, _ = _run_mode(image, _MODES["per_insn"])
-    for mode in ("closure", "jit_hot", "jit_all"):
-        got, machine = _run_mode(image, _MODES[mode])
-        assert got == want, mode
-    js = machine.cpu.jit_stats  # jit_all: everything fused is JIT'd
+    want, _ = _run_mode(image, PER_INSN)
+    got, machine = _run_mode(image, COMPILED)
+    assert got == want
+    js = machine.cpu.jit_stats
     assert js.jit_blocks > 0
     assert js.jit_instructions > 0
+    # every fused block is compiled; placements share shapes
+    assert machine.cpu.sb_stats.fused_blocks >= js.jit_blocks
 
 
 def test_softcache_jit_equivalent():
     image = build_workload("sensor", 0.02)
     reports = []
-    for jit in ("all", "off"):
+    for superblocks in (True, False):
         system = SoftCacheSystem(image, SoftCacheConfig(
-            tcache_size=768, debug_poison=True, jit=jit))
+            tcache_size=768, debug_poison=True, superblocks=superblocks))
         report = system.run()
         reports.append((report.exit_code, report.instructions,
                         report.cycles, report.output))
     assert reports[0] == reports[1]
 
 
-# -- invalidation: SMC patches drop JIT'd blocks ----------------------
+# -- invalidation: SMC patches drop compiled blocks -------------------
 
 
 def _probe_warm_count() -> int:
@@ -134,18 +131,18 @@ def _probe_warm_count() -> int:
 WARM = _probe_warm_count()
 
 
-def _warm_jit_machine() -> Machine:
-    """Warm two loop trips so both overlapping blocks are JIT'd."""
-    machine = Machine(_IMAGE, MachineConfig(superblocks=True,
-                                            jit="all"))
+def _warm_jit_machine(config: MachineConfig = COMPILED) -> Machine:
+    """Warm two loop trips so both overlapping blocks are compiled."""
+    machine = Machine(_IMAGE, config)
     loop = _IMAGE.symbols["loop"]
     with pytest.raises(CycleLimitExceeded):
         machine.cpu.run(max_instructions=WARM)
     assert machine.cpu.icount == WARM
     assert machine.cpu.pc == loop
-    tiers = {info["tier"] for info in machine.cpu.superblock_info(
-        loop + 4)}
-    assert tiers == {"jit"}
+    if config.superblocks:
+        kinds = {info["kind"] for info in machine.cpu.superblock_info(
+            loop + 4)}
+        assert kinds == {"compiled"}
     return machine
 
 
@@ -158,8 +155,9 @@ def _finish(machine):
 
 @pytest.mark.parametrize("offset", range(BODY_LEN))
 def test_patch_any_offset_drops_jit_block(offset):
-    """A ``j done`` backpatched over any body word of a warm JIT'd
-    block redirects the loop exactly as fresh per-instruction decode
+    """A ``j done`` backpatched over any body word of a warm compiled
+    block (over the ``bne`` too: J is another shape) redirects the
+    loop exactly as fresh per-instruction decode
     — and the block is gone from the dispatch table."""
     machine = _warm_jit_machine()
     killed_before = machine.cpu.sb_stats.invalidated_blocks
@@ -179,8 +177,8 @@ def test_patch_any_offset_drops_jit_block(offset):
 
 
 def test_store_inside_jit_block_takes_effect():
-    """A JIT'd block whose own store rewrites its body side-exits and
-    re-dispatches the patched words (the cw-generation guard)."""
+    """A compiled block whose own store rewrites its body side-exits
+    and re-dispatches the patched words (the cw-generation guard)."""
     src = """
         .global main
     main:
@@ -198,8 +196,7 @@ def test_store_inside_jit_block_takes_effect():
     """
     image = assemble_and_link(src)
     results = []
-    for config in (MachineConfig(superblocks=True, jit="all"),
-                   MachineConfig(superblocks=False)):
+    for config in (COMPILED, PER_INSN):
         machine = Machine(image, config)
         machine.run()
         results.append((machine.cpu.icount, machine.cpu.cycles,
@@ -207,14 +204,9 @@ def test_store_inside_jit_block_takes_effect():
     assert results[0] == results[1]
 
 
-# -- hypothesis property: jit=all ≡ jit=off ---------------------------
+# -- shape keys: shared code, in-place retargeting --------------------
 
-_REGS = list(range(8, 24))
-
-_ALU_R = [Op.ADD, Op.SUB, Op.AND, Op.OR, Op.XOR, Op.NOR, Op.SLT,
-          Op.SLTU, Op.SLL, Op.SRL, Op.SRA, Op.MUL, Op.DIV, Op.REM]
-_ALU_I = [Op.ADDI, Op.ANDI, Op.ORI, Op.XORI, Op.SLTI, Op.SLTIU,
-          Op.SLLI, Op.SRLI, Op.SRAI, Op.LUI]
+_SCRATCH = 0x0001_0000  # local RAM, executable in the test images
 
 _HARNESS = """
     .global main
@@ -223,14 +215,177 @@ main:
     ret
 """
 
-_SCRATCH = 0x0001_0000  # local RAM, executable in the test images
+
+def _scratch_machine(config: MachineConfig, code: dict) -> Machine:
+    """A machine with ``{offset: [Insn, ...]}`` written at _SCRATCH."""
+    machine = Machine(assemble_and_link(_HARNESS), config)
+    for off, insns in code.items():
+        machine.mem.write_bytes(_SCRATCH + off, b"".join(
+            encode(ins).to_bytes(4, "little") for ins in insns))
+    machine.cpu.pc = _SCRATCH
+    return machine
+
+
+def _j(op: Op, off: int) -> Insn:
+    return Insn(op, imm=(_SCRATCH + off) >> 2)
+
+
+def _body(*tail: Insn) -> list[Insn]:
+    return [Insn(Op.ADDI, rd=9, rs1=9, imm=777),
+            Insn(Op.ADDI, rd=10, rs1=9, imm=5), *tail]
+
+
+def _halted(cpu):
+    return (cpu.pc, cpu.icount, cpu.cycles, list(cpu.regs))
+
+
+def test_placements_with_different_targets_share_code(artifact_dir,
+                                                      monkeypatch):
+    """Two copies of one chunk linked to different targets run one
+    code object from one codegen, each with its own bound ``T``."""
+    monkeypatch.setattr(cpu_mod, "_SB_COMPILED", {})  # cold process
+    code = {0x00: _body(_j(Op.J, 0x40)),
+            0x40: _body(_j(Op.J, 0x80)),
+            0x80: [Insn(Op.HALT)]}
+    machine = _scratch_machine(COMPILED, code)
+    machine.cpu.run(max_instructions=100)
+    cpu = machine.cpu
+    first, second = (cpu._blocks[_SCRATCH], cpu._blocks[_SCRATCH + 0x40])
+    assert first is not second
+    assert first.__code__ is second.__code__
+    assert cpu.sb_stats.fused_blocks == 2
+    assert cpu.jit_stats.jit_blocks == 1
+    assert cpu.jit_stats.jit_codegen == 1
+    assert [i["target"] for i in cpu.superblock_info(_SCRATCH + 8)] \
+        == [_SCRATCH + 0x40]
+    ref = _scratch_machine(PER_INSN, code)
+    ref.cpu.run(max_instructions=100)
+    assert _halted(cpu) == _halted(ref.cpu)
+
+
+def _warm_loop_pair():
+    """(compiled, per-instruction) machines warm at ``loop``."""
+    return _warm_jit_machine(), _warm_jit_machine(PER_INSN)
+
+
+BNE_ADDR = _IMAGE.symbols["loop"] + 4 * (BODY_LEN - 1)
+BNE_RS1 = decode(int.from_bytes(
+    Machine(_IMAGE).mem.read_bytes(BNE_ADDR, 4), "little")).rs1
+
+
+def _bne(rs1: int, target: int) -> int:
+    return encode(Insn(Op.BNE, rs1=rs1, rs2=0,
+                       imm=(target - BNE_ADDR - 4) >> 2))
+
+
+def test_same_shape_backpatch_retargets_in_place():
+    """Retargeting the loop's ``bne`` (same opcode and registers)
+    rebinds ``T`` of both blocks ending there: nothing is killed or
+    rebuilt, and the next dispatch follows the new target."""
+    machine, ref = _warm_loop_pair()
+    cpu = machine.cpu
+    loop = _IMAGE.symbols["loop"]
+    before = (cpu.sb_stats.fused_blocks, cpu.sb_stats.invalidated_blocks)
+    fn = cpu._blocks[loop]
+    word = _bne(BNE_RS1, loop + 4)
+    machine.mem.write_word(BNE_ADDR, word)
+    ref.mem.write_word(BNE_ADDR, word)
+    assert (cpu.sb_stats.fused_blocks,
+            cpu.sb_stats.invalidated_blocks) == before
+    assert cpu.sb_stats.retargeted_blocks == 2
+    assert cpu._blocks[loop] is fn
+    assert {i["target"] for i in cpu.superblock_info(BNE_ADDR)} \
+        == {loop + 4}
+    # one more trip through the (still compiled) loop block lands on
+    # the new target, exactly where per-instruction dispatch does
+    for m in (machine, ref):
+        with pytest.raises(CycleLimitExceeded):
+            m.cpu.run(max_instructions=WARM + BODY_LEN)
+        assert m.cpu.pc == loop + 4
+    assert _finish(machine) == _finish(ref)
+
+
+@pytest.mark.parametrize("change", ["branch_regs", "j_to_trap"])
+def test_shape_changing_write_kills_block(change):
+    """A write that changes a terminator's shape — another register in
+    the branch, or a J replaced by a TRAP — still kills every block
+    ending there, exactly as before shape keys."""
+    if change == "branch_regs":
+        machine, ref = _warm_loop_pair()
+        addr = BNE_ADDR
+        # bne zero, zero: another register, never taken
+        word = _bne(0, _IMAGE.symbols["loop"])
+        killed = 2
+    else:
+        code = {0x00: _body(_j(Op.J, 0x40)),
+                0x40: [Insn(Op.HALT)], 0x80: [Insn(Op.HALT)]}
+        machine = _scratch_machine(COMPILED, code)
+        ref = _scratch_machine(PER_INSN, code)
+        for m in (machine, ref):
+            m.cpu.run(max_instructions=100)
+            m.cpu.pc = _SCRATCH
+            m.cpu.trap_hook = lambda cpu, c, o, pc: _SCRATCH + 0x80
+        addr = _SCRATCH + 8
+        word = encode(Insn(Op.TRAP, rd=int(Trap.MISS_BRANCH), imm=1))
+        killed = 1
+    cpu = machine.cpu
+    before = cpu.sb_stats.invalidated_blocks
+    machine.mem.write_word(addr, word)
+    ref.mem.write_word(addr, word)
+    assert cpu.sb_stats.invalidated_blocks == before + killed
+    assert cpu.sb_stats.retargeted_blocks == 0
+    assert cpu.superblock_info(addr) == []
+    if change == "branch_regs":
+        assert _finish(machine) == _finish(ref)
+    else:
+        machine.cpu.run(max_instructions=100)
+        ref.cpu.run(max_instructions=100)
+        assert _halted(machine.cpu) == _halted(ref.cpu)
+
+
+def test_fault_after_retarget_reports_exact_pc():
+    """A load faulting mid-block in a retargeted block reports the
+    precise pc and prefix counts, like per-instruction dispatch."""
+    code = {0x00: _body(Insn(Op.LW, rd=12, rs1=11, imm=0),
+                        _j(Op.J, 0x80)),
+            0x40: [Insn(Op.LUI, rd=11, imm=0x0F00), _j(Op.J, 0x00)],
+            0x80: [Insn(Op.HALT)]}
+    results = []
+    for config in (COMPILED, PER_INSN):
+        machine = _scratch_machine(config, code)
+        cpu = machine.cpu
+        cpu.set_reg(11, _SCRATCH + 0x800)
+        cpu.run(max_instructions=100)
+        machine.mem.write_word(_SCRATCH + 12, encode(_j(Op.J, 0x40)))
+        cpu.pc = _SCRATCH
+        with pytest.raises(MemoryFault):
+            cpu.run(max_instructions=100)
+        results.append(_halted(cpu))
+        if config.superblocks:
+            assert cpu.sb_stats.retargeted_blocks == 1
+            assert cpu.sb_stats.invalidated_blocks == 0
+    assert results[0] == results[1]
+    assert results[0][0] == _SCRATCH + 8
+
+
+# -- hypothesis property: compiled ≡ per-instruction -------------------
+
+_REGS = list(range(8, 24))
+
+_ALU_R = [Op.ADD, Op.SUB, Op.AND, Op.OR, Op.XOR, Op.NOR, Op.SLT,
+          Op.SLTU, Op.SLL, Op.SRL, Op.SRA, Op.MUL, Op.DIV, Op.REM]
+_ALU_I = [Op.ADDI, Op.ANDI, Op.ORI, Op.XORI, Op.SLTI, Op.SLTIU,
+          Op.SLLI, Op.SRLI, Op.SRAI, Op.LUI]
+
+_BRANCHES = [Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLTU, Op.BGEU]
 
 
 @st.composite
 def programs(draw):
     """Random straight-line programs: ALU plus loads/stores into a
-    data window, ending in HALT (unfusable, so the random body is
-    exactly one superblock)."""
+    data window, then an optional J/JAL/branch terminator and two HALT
+    words (unfusable, so the random body is exactly one superblock
+    whose bound ``T`` picks which HALT the run stops at)."""
     seeds = {reg: draw(st.integers(0, MASK32)) for reg in _REGS}
     data = _SCRATCH + 0x800  # in-region scratch the stores may hit
     instructions = []
@@ -267,13 +422,23 @@ def programs(draw):
             instructions.append(Insn(
                 mem_op, rd=draw(st.sampled_from(_REGS)),
                 rs1=base_reg, imm=off * width))
+    term = draw(st.sampled_from(["none", "branch", "j", "jal"]))
+    if term == "branch":
+        instructions.append(Insn(
+            draw(st.sampled_from(_BRANCHES)),
+            rs1=draw(st.sampled_from(_REGS)),
+            rs2=draw(st.sampled_from(_REGS)), imm=draw(st.integers(0, 1))))
+    elif term != "none":
+        second_halt = _SCRATCH + 4 * (len(instructions) + 2)
+        instructions.append(Insn(Op.J if term == "j" else Op.JAL,
+                                 imm=second_halt >> 2))
     return instructions, seeds
 
 
 def _run_random(instructions, seeds, config):
     machine = Machine(assemble_and_link(_HARNESS), config)
     words = [encode(ins) for ins in instructions]
-    words.append(encode(Insn(Op.HALT)))
+    words += [encode(Insn(Op.HALT))] * 2
     machine.mem.write_bytes(_SCRATCH, b"".join(
         w.to_bytes(4, "little") for w in words))
     cpu = machine.cpu
@@ -281,7 +446,7 @@ def _run_random(instructions, seeds, config):
         cpu.set_reg(reg, value)
     cpu.pc = _SCRATCH
     cpu.run(max_instructions=1000)
-    return (cpu.icount, cpu.cycles, list(cpu.regs),
+    return (cpu.pc, cpu.icount, cpu.cycles, list(cpu.regs),
             machine.mem.read_bytes(_SCRATCH + 0x800, 128))
 
 
@@ -289,11 +454,9 @@ def _run_random(instructions, seeds, config):
 @given(programs())
 def test_jit_differential_random_programs(program):
     instructions, seeds = program
-    jit = _run_random(instructions, seeds,
-                      MachineConfig(superblocks=True, jit="all"))
-    ref = _run_random(instructions, seeds,
-                      MachineConfig(superblocks=True, jit="off"))
-    assert jit == ref
+    compiled = _run_random(instructions, seeds, COMPILED)
+    ref = _run_random(instructions, seeds, PER_INSN)
+    assert compiled == ref
 
 
 # -- persistent artifacts ---------------------------------------------
@@ -372,8 +535,7 @@ _WARM_SNIPPET = """
 import json, sys
 from repro.sim import Machine, MachineConfig
 from repro.workloads import build_workload
-machine = Machine(build_workload("sensor", 0.02),
-                  MachineConfig(superblocks=True, jit="all"))
+machine = Machine(build_workload("sensor", 0.02))
 machine.run()
 js = machine.cpu.jit_stats
 print(json.dumps({"codegen": js.jit_codegen,
@@ -421,9 +583,10 @@ def test_dump_superblock_report():
     machine = _warm_jit_machine()
     loop = _IMAGE.symbols["loop"]
     report = dump_superblock(machine.cpu, loop + 4)
-    assert "tier=jit" in report
+    assert "kind=compiled" in report
+    assert f"T=0 (taken -> {loop:#x})" in report  # the loop block's bne
     assert "guest code:" in report
-    assert "generated source:" in report
+    assert "generated source (shared by the shape):" in report
     assert "def _sb(" in report
     miss = dump_superblock(machine.cpu, 0x0A00_0000)
     assert "no live superblock" in miss
@@ -432,7 +595,7 @@ def test_dump_superblock_report():
 def test_cli_dump_superblock(capsys):
     from repro.cli import main
     code = main(["debug", "sensor", "--scale", "0.02",
-                 "--tcache", "4096", "--jit", "all",
+                 "--tcache", "4096",
                  "--dump-superblock", "0x10000"])
     out = capsys.readouterr().out
     assert code == 0

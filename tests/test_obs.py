@@ -53,7 +53,7 @@ def test_event_schema_golden():
     its argument keys must be a deliberate act (update this table, the
     EVENT_SCHEMA table and docs/OBSERVABILITY.md together, and bump
     TRACE_SCHEMA_VERSION on incompatible changes)."""
-    assert TRACE_SCHEMA_VERSION == 6
+    assert TRACE_SCHEMA_VERSION == 7
     assert EVENT_SCHEMA == {
         "cc.trap": ("kind", "id"),
         "cc.miss": ("orig", "name", "size", "batch"),
@@ -85,10 +85,10 @@ def test_event_schema_golden():
         "hub.far": ("bytes", "seconds"),
         "interp.fuse": ("pc", "fused"),
         "interp.sb_invalidate": ("pc",),
+        "interp.sb_retarget": ("pc", "target"),
         "interp.flush": (),
         "cpu.jit_compile": ("pc", "fused"),
         "cpu.jit_load": ("pc", "fused"),
-        "cpu.jit_promote": ("pc", "count"),
         "fleet.client": ("client", "start_s", "seconds",
                          "translations", "delay_s"),
         "fleet.queue": ("where", "arrival_s", "delay_s", "service_s"),

@@ -71,7 +71,8 @@ def test_metrics_scrape_is_prometheus_text(served_run):
            f"{system.stats.translations}" in body
     assert "# HELP repro_cc_translations_total" in body
     assert "repro_build_info{" in body
-    assert 'jit="hot"' in body
+    assert 'granularity="block"' in body
+    assert "jit=" not in body
 
 
 def test_inspect_tcache(served_run):
@@ -93,12 +94,12 @@ def test_inspect_superblocks(served_run):
     status, body = _get(server.url + "/inspect/superblocks")
     snap = json.loads(body)
     assert status == 200
-    assert snap["blocks"] == sum(snap["tiers"].values())
-    assert snap["jit_mode"] == "hot"
-    if snap["hottest"]:
-        hits = [b["hits"] for b in snap["hottest"]
-                if b["hits"] is not None]
-        assert hits == sorted(hits, reverse=True)
+    assert snap["blocks"] == sum(snap["kinds"].values())
+    assert set(snap["kinds"]) == {"compiled", "single"}
+    cpu = system.machine.cpu
+    assert snap["shapes"] == cpu.jit_stats.jit_blocks > 0
+    assert snap["retargeted"] == cpu.sb_stats.retargeted_blocks
+    assert "hottest" not in snap
 
 
 def test_inspect_shards_solo(served_run):
@@ -233,13 +234,12 @@ def test_admin_set_and_flush():
 
     ctl = ControlPlane()
     system.cc._control = ctl
-    set_cmd = ctl.post("set", {"prefetch_depth": 2, "jit": "off"})
+    set_cmd = ctl.post("set", {"prefetch_depth": 2})
     flush_cmd = ctl.post("flush", {})
     system.machine.cpu.run(2_000_000_000)
 
-    assert set_cmd.result["prefetch_depth"] == 2
+    assert set_cmd.result == {"verb": "set", "prefetch_depth": 2}
     assert system.cc.prefetch_depth == 2
-    assert system.machine.cpu.jit == "off"
     assert flush_cmd.result["verb"] == "flush"
     assert system.stats.admin_commands == 2
     assert ctl.applied == 2
@@ -254,13 +254,15 @@ def test_admin_rejects_bad_args():
     bad_depth = ctl.post("set", {"prefetch_depth": -1})
     bad_verb = ctl.post("defrag", {})
     empty_set = ctl.post("set", {})
+    unknown_knob = ctl.post("set", {"jit": "off"})
     system.machine.cpu.run(2_000_000_000)
     assert bad_depth.error is not None
     assert bad_verb.error is not None
     assert empty_set.error is not None
+    assert "jit" in unknown_knob.error
     assert ctl.applied == 0
     # failed commands still bill their MC service round trip
-    assert system.stats.admin_commands == 3
+    assert system.stats.admin_commands == 4
 
 
 def test_resize_resets_policy_state():

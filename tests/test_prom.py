@@ -101,7 +101,7 @@ def test_every_line_parses_including_non_finite():
     h = reg.histogram("cc.latency")
     h.observe(7)
     h.observe(2 ** 1500)  # bucket bound overflows float range
-    text = to_prometheus(reg, build_info={"jit": "hot"})
+    text = to_prometheus(reg, build_info={"policy": "fifo"})
     _lint(text)
     # Python float spellings must never leak into the exposition
     assert "inf\n" not in text and "nan\n" not in text
@@ -129,14 +129,14 @@ def test_help_lines_precede_types():
 def test_build_info_gauge():
     reg = MetricsRegistry()
     reg.counter("cc.misses").inc(1)
-    text = to_prometheus(reg, build_info={"jit": "hot",
+    text = to_prometheus(reg, build_info={"policy": "fifo",
                                           "granularity": "block"})
     _lint(text)
     assert "# TYPE repro_build_info gauge" in text
     line = next(ln for ln in text.splitlines()
                 if ln.startswith("repro_build_info{"))
     assert line.endswith(" 1")
-    assert 'jit="hot"' in line and 'granularity="block"' in line
+    assert 'policy="fifo"' in line and 'granularity="block"' in line
     assert 'schema="' in line  # trace schema version always present
     # even without caller labels the schema is still stamped
     assert 'repro_build_info{schema="' in to_prometheus(reg)
