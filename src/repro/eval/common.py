@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,25 +69,31 @@ class TraceRun:
 
 
 _trace_cache: dict[tuple[str, float, bool], TraceRun] = {}
-_cache_dir_override: Path | None = None
+
+#: Names of this cache's own entries: versioned traces, plus the bare
+#: sha256 names of pre-v2 generations.  Sweeps and clears touch nothing
+#: else — the directory may be shared, even the working directory.
+_OWN_NAME = re.compile(r"trace-v\d+-.+\.npz|[0-9a-f]{64}\.npz")
 
 
 def trace_cache_dir() -> Path:
-    """Directory holding persistent trace entries."""
-    if _cache_dir_override is not None:
-        return _cache_dir_override
-    return Path(os.environ.get("REPRO_TRACE_CACHE", ".cache/traces"))
+    """Directory holding persistent trace entries: the JIT artifact
+    store's directory (:func:`repro.sim.jitcache.artifact_dir`)."""
+    return jitcache.artifact_dir()
 
 
 def set_trace_cache_dir(path: "os.PathLike | str | None") -> None:
     """Override the on-disk cache directory (``None`` restores the
-    default / ``$REPRO_TRACE_CACHE`` behaviour).  Forwards to
-    :func:`repro.sim.jitcache.set_artifact_dir` so the native-trace
-    store and the JIT's compiled-superblock store always share one
-    directory (tests and sweeps redirect both with one call)."""
-    global _cache_dir_override
-    _cache_dir_override = Path(path) if path is not None else None
+    default / ``$REPRO_TRACE_CACHE`` behaviour).  The native-trace
+    store and the JIT's compiled-superblock store share one directory,
+    so tests and sweeps redirect both with one call."""
     jitcache.set_artifact_dir(path)
+
+
+def _trace_entries(directory: Path) -> list[Path]:
+    """This cache's entries in *directory*, of every generation."""
+    return [entry for entry in directory.glob("*.npz")
+            if _OWN_NAME.fullmatch(entry.name)]
 
 
 def _trace_key(workload: str, scale: float, arm_profile: bool,
@@ -123,26 +129,17 @@ def _load_disk(path: Path, workload: str, scale: float,
         return None  # corrupt / truncated entry: re-run live
 
 
-def _store_disk(path: Path, run: TraceRun) -> None:
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez_compressed(
-                    fh,
-                    trace=run.trace,
-                    instructions=np.int64(run.instructions),
-                    cycles=np.int64(run.cycles),
-                    exit_code=np.int64(run.exit_code),
-                    output=np.frombuffer(
-                        run.output.encode("latin-1"), dtype=np.uint8))
-            os.replace(tmp, path)  # atomic: readers never see partials
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    except OSError:
-        pass  # best-effort (read-only checkout, full disk, ...)
+def _store_disk(path: Path, run: TraceRun) -> bool:
+    """Persist *run* atomically; best-effort (read-only checkout, full
+    disk, unencodable output), like the JIT store."""
+    return jitcache.write_atomic(path, lambda fh: np.savez_compressed(
+        fh,
+        trace=run.trace,
+        instructions=np.int64(run.instructions),
+        cycles=np.int64(run.cycles),
+        exit_code=np.int64(run.exit_code),
+        output=np.frombuffer(run.output.encode("latin-1"),
+                             dtype=np.uint8)))
 
 
 def native_trace(workload: str, scale: float = 1.0, *,
@@ -179,30 +176,27 @@ def clear_trace_cache(disk: bool = False) -> None:
     persistent entries under :func:`trace_cache_dir`."""
     _trace_cache.clear()
     if disk:
-        directory = trace_cache_dir()
-        if directory.is_dir():
-            for entry in directory.glob("*.npz"):
-                try:
-                    entry.unlink()
-                except OSError:
-                    pass
+        for entry in _trace_entries(trace_cache_dir()):
+            try:
+                entry.unlink()
+            except OSError:
+                pass
 
 
 def sweep_stale_cache_versions(directory: "os.PathLike | str | None"
                                = None) -> int:
-    """Evict artifacts written by other cache generations: ``*.npz``
-    traces whose filename version isn't :data:`_CACHE_VERSION`
+    """Evict artifacts written by other cache generations: trace
+    entries whose filename version isn't :data:`_CACHE_VERSION`
     (including pre-v2 bare-digest names) and JIT superblock artifacts
     from other codegen versions / interpreters
-    (:func:`repro.sim.jitcache.sweep_stale`).  Returns the number of
-    files removed; best-effort, never raises on I/O errors."""
+    (:func:`repro.sim.jitcache.sweep_stale`).  Other files are never
+    touched.  Returns the number of files removed; best-effort, never
+    raises on I/O errors."""
     directory = (Path(directory) if directory is not None
                  else trace_cache_dir())
     removed = jitcache.sweep_stale(directory)
-    if not directory.is_dir():
-        return removed
     keep = f"trace-v{_CACHE_VERSION}-"
-    for entry in directory.glob("*.npz"):
+    for entry in _trace_entries(directory):
         if entry.name.startswith(keep):
             continue
         try:

@@ -1,6 +1,6 @@
 """repro.sim — the embedded-client CPU simulator.
 
-A closure-caching, superblock-compiling interpreter for the repro ISA (:mod:`repro.sim.cpu`),
+A decode-once, superblock-compiling interpreter for the repro ISA (:mod:`repro.sim.cpu`),
 region-based memory with executable permissions and code-write hooks
 (:mod:`repro.sim.memory`), the centralized cost model
 (:mod:`repro.sim.costs`) and the machine/syscall layer

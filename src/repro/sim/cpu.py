@@ -1,15 +1,20 @@
-"""The repro RISC CPU: a closure-caching, superblock-compiling interpreter.
+"""The repro RISC CPU: a decode-once, superblock-compiling interpreter.
 
-Each instruction word is decoded once into a specialized Python closure
-stored in a per-address decode cache.  On top of that sits a
-**superblock layer**: at first dispatch of a pc, the straight-line run
-of instructions starting there (up to and including the next control
-transfer) is compiled by the template JIT (:mod:`repro.sim.jit`) into
-one Python function with guest registers as locals, constants folded
-and the instruction/cycle stats batched; the run loop is then
-``pc = blocks[pc](pc)``.  ``superblocks=False``, traced runs,
+One expression table in :mod:`repro.sim.jit` defines what every opcode
+does, and feeds both dispatch paths.  Each instruction word is decoded
+once into a per-instruction entry stored in a per-address decode
+cache: the table's template function for its (opcode, ``rd == zero``)
+variant, bound to the word's registers, immediate and memory accessor
+(:func:`~repro.sim.jit.bind_insn`).  Only TRAP/SYSCALL/BREAK/HALT,
+which call the CPU's hooks, are closures written here.  On top of that
+sits a **superblock layer**: at first dispatch of a pc, the
+straight-line run of instructions starting there (up to and including
+the next control transfer) is compiled by the template JIT from the
+same table into one Python function with guest registers as locals,
+constants folded and the instruction/cycle stats batched; the run loop
+is then ``pc = blocks[pc](pc)``.  ``superblocks=False``, traced runs,
 :meth:`CPU.step` and TRAP/SYSCALL/BREAK/HALT words use the
-per-instruction closures, so hook-visible state is exact at those
+per-instruction entries, so hook-visible state is exact at those
 boundaries.
 
 Compiled blocks are keyed by **shape**: their words with the target
@@ -42,8 +47,8 @@ two narrow interfaces:
   :class:`~repro.sim.errors.FetchFault` instead of silently running
   untranslated code.
 
-Cycle accounting: every closure bumps an (instruction, cycle) stats
-cell; runtime components charge additional cycles through
+Cycle accounting: every per-instruction entry bumps an (instruction,
+cycle) stats cell; runtime components charge additional cycles through
 :meth:`CPU.add_cycles`.
 """
 
@@ -55,7 +60,6 @@ from types import FunctionType
 from typing import Callable
 
 from ..isa import Op, Trap, decode, to_signed32
-from ..isa.registers import RA
 from .costs import DEFAULT_COSTS, CostModel
 from .errors import (
     BreakHit,
@@ -65,12 +69,14 @@ from .errors import (
     SimError,
 )
 from .jit import (
+    ACCESSORS,
     SHAPE_MASKS,
     JitStats,
     _SB_STRAIGHT_OPS,
     _SB_TERM_OPS,
     _sdiv,
     _srem,
+    bind_insn,
     bound_target,
     jit_codegen,
     taken_target,
@@ -79,7 +85,6 @@ from . import jitcache
 from .memory import Memory
 
 MASK32 = 0xFFFFFFFF
-_SIGN_FLIP = 0x80000000
 
 
 class HaltExecution(Exception):
@@ -116,17 +121,22 @@ _CHUNK = 16384
 _SAFE_MARGIN = _CHUNK * FUSE_LIMIT
 
 
-def _classify_word(word: int) -> int:
-    """Decode *word* once and memoize its fusion class (and the Insn)."""
+def _insn(word: int):
+    """The decoded Insn of *word*, through :data:`_DECODE_MEMO` (raises
+    on undecodable words, which stay unmemoized)."""
     ins = _DECODE_MEMO.get(word)
     if ins is None:
-        try:
-            ins = decode(word)
-        except Exception:
-            _WORD_CLASS[word] = 2
-            return 2
-        _DECODE_MEMO[word] = ins
-    op = ins.op
+        ins = _DECODE_MEMO[word] = decode(word)
+    return ins
+
+
+def _classify_word(word: int) -> int:
+    """Decode *word* once and memoize its fusion class (and the Insn)."""
+    try:
+        op = _insn(word).op
+    except Exception:
+        _WORD_CLASS[word] = 2
+        return 2
     cls = 0 if op in _SB_STRAIGHT_OPS else 1 if op in _SB_TERM_OPS else 2
     _WORD_CLASS[word] = cls
     return cls
@@ -140,7 +150,7 @@ class SuperblockStats:
     fused_blocks: int = 0
     #: Total instructions covered by those superblocks.
     fused_instructions: int = 0
-    #: Dispatch entries that stayed single per-instruction closures
+    #: Dispatch entries that stayed single per-instruction functions
     #: (TRAP/SYSCALL/BREAK/HALT words, lone control transfers).
     single_closures: int = 0
     #: Blocks killed because a code write overlapped their span.
@@ -195,6 +205,10 @@ class CPU:
         #: hook-free.
         self.trace_hook: Callable[[str, int, int], None] | None = None
         self._decoded: dict[int, Callable[[int], int]] = {}
+        #: Accessor binding name (``rw``, ``ww``, ...) -> this memory's
+        #: method, shared by per-instruction entries and superblocks.
+        self._accessors = {name: getattr(memory, attr)
+                           for name, attr in ACCESSORS.items()}
         #: Superblock dispatch table: block-start pc -> function.
         self._blocks: dict[int, Callable[[int], int]] = {}
         #: Block-start pc -> end address (exclusive) of its span.
@@ -263,7 +277,7 @@ class CPU:
     # -- decode cache -------------------------------------------------------
 
     def _invalidate_decoded(self, addr: int, length: int) -> None:
-        """Code-write hook: drop closures and superblocks made stale by
+        """Code-write hook: drop entries and superblocks made stale by
         a write to ``[addr, addr + length)``.
 
         Every superblock whose span merely *overlaps* a patched word is
@@ -355,7 +369,7 @@ class CPU:
                     del cover[bucket]
 
     def invalidate_all_decoded(self) -> None:
-        """Drop every cached closure and superblock (tcache flush)."""
+        """Drop every cached entry and superblock (tcache flush)."""
         self._decoded.clear()
         self._blocks.clear()
         self._block_span.clear()
@@ -375,17 +389,16 @@ class CPU:
             raise FetchFault(pc, "misaligned pc")
         off = pc - region.base
         word = int.from_bytes(region.buf[off:off + 4], "little")
-        ins = _DECODE_MEMO.get(word)
-        if ins is None:
-            try:
-                ins = decode(word)
-            except Exception as exc:
-                raise IllegalInstruction(pc, word) from exc
-            _DECODE_MEMO[word] = ins
-        factory = _FACTORIES.get(ins.op)
-        if factory is None:  # pragma: no cover - table is exhaustive
-            raise IllegalInstruction(pc, word)
-        fn = factory(self, ins, pc)
+        try:
+            ins = _insn(word)
+        except Exception as exc:
+            raise IllegalInstruction(pc, word) from exc
+        hook_entry = _HOOK_ENTRIES.get(ins.op)
+        if hook_entry is not None:
+            fn = hook_entry(self, ins)
+        else:
+            fn = bind_insn(ins, word, self.regs, self.stats,
+                           self.costs.op_cycles[ins.op], self._accessors)
         self._decoded[pc] = fn
         return fn
 
@@ -414,9 +427,9 @@ class CPU:
         return fn
 
     def _build_block(self, pc: int) -> Callable[[int], int]:
-        """Fuse the straight-line run starting at *pc* into one closure.
+        """Fuse the straight-line run starting at *pc* into one function.
 
-        Falls back to the per-instruction closure when the word at *pc*
+        Falls back to the per-instruction entry when the word at *pc*
         is a control transfer, a trap-class instruction, or fusion would
         cover fewer than two instructions.  Decode problems *inside* the
         straight-line run just end the block early; the offending word
@@ -684,290 +697,13 @@ class CPU:
 
 
 # ---------------------------------------------------------------------------
-# Closure factories, one per opcode.  Each returns ``fn(pc) -> next_pc``.
-# The factories aggressively specialize: rd == zero becomes a pure nop
-# with correct cost, constants are folded into the closure.
+# Per-instruction entries that call into the CPU's hooks instead of
+# evaluating a table expression; every other opcode binds its template
+# from :mod:`repro.sim.jit` (:func:`~repro.sim.jit.bind_insn`).
 # ---------------------------------------------------------------------------
 
-_Factory = Callable[["CPU", object, int], Callable[[int], int]]
-_FACTORIES: dict[Op, _Factory] = {}
 
-
-def _register(op: Op):
-    def deco(fn: _Factory) -> _Factory:
-        _FACTORIES[op] = fn
-        return fn
-    return deco
-
-
-def _alu_factory(op: Op, compute):
-    """Build a factory for a 3-register ALU op with semantics *compute*."""
-    def factory(cpu: CPU, ins, pc: int):
-        regs = cpu.regs
-        st = cpu.stats
-        cost = cpu.costs.op_cycles[op]
-        rd, rs1, rs2 = ins.rd, ins.rs1, ins.rs2
-        if rd == 0:
-            def ex(pc: int) -> int:
-                st[0] += 1
-                st[1] += cost
-                return pc + 4
-            return ex
-
-        def ex(pc: int) -> int:
-            st[0] += 1
-            st[1] += cost
-            regs[rd] = compute(regs[rs1], regs[rs2])
-            return pc + 4
-        return ex
-    _FACTORIES[op] = factory
-    return factory
-
-
-_alu_factory(Op.ADD, lambda a, b: (a + b) & MASK32)
-_alu_factory(Op.SUB, lambda a, b: (a - b) & MASK32)
-_alu_factory(Op.AND, lambda a, b: a & b)
-_alu_factory(Op.OR, lambda a, b: a | b)
-_alu_factory(Op.XOR, lambda a, b: a ^ b)
-_alu_factory(Op.NOR, lambda a, b: ~(a | b) & MASK32)
-_alu_factory(Op.SLT,
-             lambda a, b: 1 if (a ^ _SIGN_FLIP) < (b ^ _SIGN_FLIP) else 0)
-_alu_factory(Op.SLTU, lambda a, b: 1 if a < b else 0)
-_alu_factory(Op.SLL, lambda a, b: (a << (b & 31)) & MASK32)
-_alu_factory(Op.SRL, lambda a, b: a >> (b & 31))
-_alu_factory(Op.SRA,
-             lambda a, b: (to_signed32(a) >> (b & 31)) & MASK32)
-_alu_factory(Op.MUL, lambda a, b: (a * b) & MASK32)
-_alu_factory(Op.DIV, _sdiv)
-_alu_factory(Op.REM, _srem)
-
-
-def _alui_factory(op: Op, compute):
-    """Factory builder for register-immediate ALU ops."""
-    def factory(cpu: CPU, ins, pc: int):
-        regs = cpu.regs
-        st = cpu.stats
-        cost = cpu.costs.op_cycles[op]
-        rd, rs1, imm = ins.rd, ins.rs1, ins.imm
-        if rd == 0:
-            def ex(pc: int) -> int:
-                st[0] += 1
-                st[1] += cost
-                return pc + 4
-            return ex
-
-        def ex(pc: int) -> int:
-            st[0] += 1
-            st[1] += cost
-            regs[rd] = compute(regs[rs1], imm)
-            return pc + 4
-        return ex
-    _FACTORIES[op] = factory
-    return factory
-
-
-_alui_factory(Op.ADDI, lambda a, i: (a + i) & MASK32)
-_alui_factory(Op.ANDI, lambda a, i: a & i)
-_alui_factory(Op.ORI, lambda a, i: a | i)
-_alui_factory(Op.XORI, lambda a, i: a ^ i)
-_alui_factory(Op.SLTI,
-              lambda a, i: 1 if (a ^ _SIGN_FLIP) < ((i & MASK32) ^ _SIGN_FLIP)
-              else 0)
-_alui_factory(Op.SLTIU, lambda a, i: 1 if a < i else 0)
-_alui_factory(Op.SLLI, lambda a, i: (a << (i & 31)) & MASK32)
-_alui_factory(Op.SRLI, lambda a, i: a >> (i & 31))
-_alui_factory(Op.SRAI, lambda a, i: (to_signed32(a) >> (i & 31)) & MASK32)
-
-
-@_register(Op.LUI)
-def _f_lui(cpu: CPU, ins, pc: int):
-    # LUI ignores rs1: specialize to a pure constant store instead of
-    # the generic register-immediate closure (which would read a source
-    # register it never uses).
-    regs = cpu.regs
-    st = cpu.stats
-    cost = cpu.costs.op_cycles[Op.LUI]
-    rd = ins.rd
-    value = (ins.imm << 16) & MASK32
-    if rd == 0:
-        def ex(pc: int) -> int:
-            st[0] += 1
-            st[1] += cost
-            return pc + 4
-        return ex
-
-    def ex(pc: int) -> int:
-        st[0] += 1
-        st[1] += cost
-        regs[rd] = value
-        return pc + 4
-    return ex
-
-
-def _load_factory(op: Op, reader_name: str, sign_bits: int | None):
-    def factory(cpu: CPU, ins, pc: int):
-        regs = cpu.regs
-        st = cpu.stats
-        mem = cpu.mem
-        cost = cpu.costs.op_cycles[op]
-        rd, rs1, imm = ins.rd, ins.rs1, ins.imm
-        read = getattr(mem, reader_name)
-        if sign_bits is None:
-            def ex(pc: int) -> int:
-                st[0] += 1
-                st[1] += cost
-                value = read((regs[rs1] + imm) & MASK32)
-                if rd:
-                    regs[rd] = value
-                return pc + 4
-        else:
-            flip = 1 << (sign_bits - 1)
-            wrap = 1 << sign_bits
-
-            def ex(pc: int) -> int:
-                st[0] += 1
-                st[1] += cost
-                value = read((regs[rs1] + imm) & MASK32)
-                if value & flip:
-                    value = (value - wrap) & MASK32
-                if rd:
-                    regs[rd] = value
-                return pc + 4
-        return ex
-    _FACTORIES[op] = factory
-
-
-_load_factory(Op.LW, "read_word", None)
-_load_factory(Op.LH, "read_half", 16)
-_load_factory(Op.LHU, "read_half", None)
-_load_factory(Op.LB, "read_byte", 8)
-_load_factory(Op.LBU, "read_byte", None)
-
-
-def _store_factory(op: Op, writer_name: str):
-    def factory(cpu: CPU, ins, pc: int):
-        regs = cpu.regs
-        st = cpu.stats
-        mem = cpu.mem
-        cost = cpu.costs.op_cycles[op]
-        rd, rs1, imm = ins.rd, ins.rs1, ins.imm
-        write = getattr(mem, writer_name)
-
-        def ex(pc: int) -> int:
-            st[0] += 1
-            st[1] += cost
-            write((regs[rs1] + imm) & MASK32, regs[rd])
-            return pc + 4
-        return ex
-    _FACTORIES[op] = factory
-
-
-_store_factory(Op.SW, "write_word")
-_store_factory(Op.SH, "write_half")
-_store_factory(Op.SB, "write_byte")
-
-
-def _branch_factory(op: Op, test):
-    def factory(cpu: CPU, ins, pc: int):
-        regs = cpu.regs
-        st = cpu.stats
-        cost = cpu.costs.op_cycles[op]
-        rs1, rs2 = ins.rs1, ins.rs2
-        taken = pc + 4 + (ins.imm << 2)
-        fallthrough = pc + 4
-
-        def ex(pc: int) -> int:
-            st[0] += 1
-            st[1] += cost
-            return taken if test(regs[rs1], regs[rs2]) else fallthrough
-        return ex
-    _FACTORIES[op] = factory
-
-
-_branch_factory(Op.BEQ, lambda a, b: a == b)
-_branch_factory(Op.BNE, lambda a, b: a != b)
-_branch_factory(Op.BLT, lambda a, b: (a ^ _SIGN_FLIP) < (b ^ _SIGN_FLIP))
-_branch_factory(Op.BGE, lambda a, b: (a ^ _SIGN_FLIP) >= (b ^ _SIGN_FLIP))
-_branch_factory(Op.BLTU, lambda a, b: a < b)
-_branch_factory(Op.BGEU, lambda a, b: a >= b)
-
-
-@_register(Op.J)
-def _f_j(cpu: CPU, ins, pc: int):
-    st = cpu.stats
-    cost = cpu.costs.op_cycles[Op.J]
-    target = ins.imm << 2
-
-    def ex(pc: int) -> int:
-        st[0] += 1
-        st[1] += cost
-        return target
-    return ex
-
-
-@_register(Op.JAL)
-def _f_jal(cpu: CPU, ins, pc: int):
-    regs = cpu.regs
-    st = cpu.stats
-    cost = cpu.costs.op_cycles[Op.JAL]
-    target = ins.imm << 2
-    link = pc + 4
-
-    def ex(pc: int) -> int:
-        st[0] += 1
-        st[1] += cost
-        regs[RA] = link
-        return target
-    return ex
-
-
-@_register(Op.JR)
-def _f_jr(cpu: CPU, ins, pc: int):
-    regs = cpu.regs
-    st = cpu.stats
-    cost = cpu.costs.op_cycles[Op.JR]
-    rs1 = ins.rs1
-
-    def ex(pc: int) -> int:
-        st[0] += 1
-        st[1] += cost
-        return regs[rs1]
-    return ex
-
-
-@_register(Op.JALR)
-def _f_jalr(cpu: CPU, ins, pc: int):
-    regs = cpu.regs
-    st = cpu.stats
-    cost = cpu.costs.op_cycles[Op.JALR]
-    rd, rs1 = ins.rd, ins.rs1
-    link = pc + 4
-
-    def ex(pc: int) -> int:
-        st[0] += 1
-        st[1] += cost
-        target = regs[rs1]
-        if rd:
-            regs[rd] = link
-        return target
-    return ex
-
-
-@_register(Op.RET)
-def _f_ret(cpu: CPU, ins, pc: int):
-    regs = cpu.regs
-    st = cpu.stats
-    cost = cpu.costs.op_cycles[Op.RET]
-
-    def ex(pc: int) -> int:
-        st[0] += 1
-        st[1] += cost
-        return regs[RA]
-    return ex
-
-
-@_register(Op.TRAP)
-def _f_trap(cpu: CPU, ins, pc: int):
+def _f_trap(cpu: CPU, ins):
     st = cpu.stats
     code, operand = ins.rd, ins.imm
 
@@ -983,8 +719,7 @@ def _f_trap(cpu: CPU, ins, pc: int):
     return ex
 
 
-@_register(Op.SYSCALL)
-def _f_syscall(cpu: CPU, ins, pc: int):
+def _f_syscall(cpu: CPU, ins):
     st = cpu.stats
     service = ins.imm
 
@@ -998,8 +733,7 @@ def _f_syscall(cpu: CPU, ins, pc: int):
     return ex
 
 
-@_register(Op.BREAK)
-def _f_break(cpu: CPU, ins, pc: int):
+def _f_break(cpu: CPU, ins):
     code = ins.imm
 
     def ex(pc: int) -> int:
@@ -1007,14 +741,17 @@ def _f_break(cpu: CPU, ins, pc: int):
     return ex
 
 
-@_register(Op.HALT)
-def _f_halt(cpu: CPU, ins, pc: int):
+def _f_halt(cpu: CPU, ins):
     def ex(pc: int) -> int:
         cpu.stats[0] += 1
         cpu.stats[1] += 1
         cpu.halt(cpu.exit_code if cpu.exit_code is not None else 0)
         return pc  # pragma: no cover - halt() raises
     return ex
+
+
+_HOOK_ENTRIES = {Op.TRAP: _f_trap, Op.SYSCALL: _f_syscall,
+                 Op.BREAK: _f_break, Op.HALT: _f_halt}
 
 
 # ---------------------------------------------------------------------------
@@ -1039,15 +776,11 @@ def _insns_for_key(key: tuple[int, ...]):
     terminator from a shape key.  The fuser only ever places a control
     transfer last, so the split is unambiguous (a masked terminator
     word still decodes to its opcode and registers)."""
-    memo = _DECODE_MEMO
     insns: list[tuple[int, object]] = []
     term: tuple[int, object] | None = None
     last = len(key) - 1
     for i, word in enumerate(key):
-        ins = memo.get(word)
-        if ins is None:
-            ins = decode(word)
-            memo[word] = ins
+        ins = _insn(word)
         if i == last and ins.op in _SB_TERM_OPS:
             term = (4 * i, ins)
         else:
@@ -1084,11 +817,9 @@ def _bind_superblock(cpu: CPU, code, fixups):
                 fast = region
         ns = cpu._sb_exec_ns = {
             "_r": cpu.regs, "_st": cpu.stats, "_cw": cpu._code_gen,
-            "_C": cpu, "_F": fixups, "_rw": mem.read_word,
-            "_rh": mem.read_half, "_rb": mem.read_byte,
-            "_ww": mem.write_word, "_wh": mem.write_half,
-            "_wb": mem.write_byte, "_sgn": to_signed32, "_sdiv": _sdiv,
-            "_srem": _srem, "_T": 0,
+            "_C": cpu, "_F": fixups,
+            **{f"_{name}": fn for name, fn in cpu._accessors.items()},
+            "_sgn": to_signed32, "_sdiv": _sdiv, "_srem": _srem, "_T": 0,
             "_fB": fast.base if fast else 1,
             "_fE": fast.end_addr if fast else 0,
             "_fV": fast.view32 if fast else None,

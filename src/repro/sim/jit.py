@@ -1,12 +1,24 @@
-"""Template-JIT: superblocks compiled to specialized Python source.
+"""The ISA-semantics table and the two emitters built from it.
 
-This module is the interpreter's one superblock code generator.  The
-template promotes every guest register the block touches into a
-**Python local variable**: registers read before being written are
-loaded once in a prologue, intermediate values flow local-to-local,
-and modified registers are spilled back to ``r[...]`` only at the
-block's exits (terminator, fall-through, the self-modification side
-exit after a store, and the fault fix-up path).  Constants are folded
+Every opcode's meaning is written once, as expression text in the
+tables below (:data:`_SB_ALU_R`, :data:`_SB_ALU_I`, :data:`_SB_LOADS`,
+:data:`_SB_STORES`, :data:`_SB_BRANCH_COND`, :func:`_sb_term`).  Two
+emitters fill in the operand texts:
+
+* :func:`bind_insn` — the per-instruction dispatch entries.  One
+  template function per (opcode, ``rd == zero`` variant) is compiled
+  per process; each word binds its registers, immediate and memory
+  accessor as default arguments.
+* :func:`jit_codegen` — the superblock template-JIT, one specialized
+  Python function per straight-line block.
+
+The superblock template promotes every guest register the block
+touches into a **Python local variable**: registers read before being
+written are loaded once in a prologue, intermediate values flow
+local-to-local, and modified registers are spilled back to ``r[...]``
+only at the block's exits (terminator, fall-through, the
+self-modification side exit after a store, and the fault fix-up
+path).  Constants are folded
 at generation time — ``LUI`` seeds a known constant, and any ALU op
 whose sources are all known constants is evaluated during codegen by
 ``eval``-ing the *same expression text* that would otherwise be
@@ -42,12 +54,12 @@ can never resurrect stale generated code.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import FunctionType
 
 from ..isa import Op, to_signed32
 from ..isa.registers import RA
 
 MASK32 = 0xFFFFFFFF
-_SIGN_FLIP = 0x80000000
 
 _M = "4294967295"       # MASK32 literal
 _S = "2147483648"       # sign-flip literal
@@ -58,7 +70,8 @@ _S = "2147483648"       # sign-flip literal
 #: data region (stack, typically) and only fall back to the accessor
 #: call — and its self-modification guard — for addresses outside it.
 #: v3: shape keys — J/JAL/branch targets come from the bound ``T``.
-JIT_CODEGEN_VERSION = 3
+#: v4: immediates enter the ISA table's expression text unfolded.
+JIT_CODEGEN_VERSION = 4
 
 
 def _sdiv(a: int, b: int) -> int:
@@ -81,6 +94,12 @@ def _srem(a: int, b: int) -> int:
     return r & MASK32
 
 
+# The ISA-semantics table: every opcode's meaning is written once, as
+# expression text over operand texts.  jit_codegen fills in
+# guest-register locals and literal immediates; the per-instruction
+# templates of bind_insn fill in ``r[a]``, ``r[b]`` and ``i``.
+
+#: R-type ALU: op -> (rs1 text, rs2 text) -> value expression.
 _SB_ALU_R = {
     Op.ADD: lambda a, b: f"({a} + {b}) & {_M}",
     Op.SUB: lambda a, b: f"({a} - {b}) & {_M}",
@@ -98,20 +117,53 @@ _SB_ALU_R = {
     Op.REM: lambda a, b: f"srem({a}, {b})",
 }
 
-#: helper names each R-type op pulls into the generated function.
-_SB_ALU_R_HELPERS = {Op.SRA: ("sgn",), Op.DIV: ("sdiv",),
-                     Op.REM: ("srem",)}
-
-#: op -> (reader binding name, sign bits or None)
-_SB_LOADS = {
-    Op.LW: ("rw", None),
-    Op.LH: ("rh", 16),
-    Op.LHU: ("rh", None),
-    Op.LB: ("rb", 8),
-    Op.LBU: ("rb", None),
+#: I-type ALU: op -> (rs1 text, immediate text) -> value expression.
+#: A literal immediate folds at compile time (``(5) & 31``); SLTI's
+#: ``i + 2**31`` is the sign-flipped immediate for every signed 32-bit
+#: ``i``.  LUI ignores its rs1 text.
+_SB_ALU_I = {
+    Op.ADDI: lambda a, i: f"({a} + ({i})) & {_M}",
+    Op.ANDI: lambda a, i: f"{a} & {i}",
+    Op.ORI: lambda a, i: f"{a} | {i}",
+    Op.XORI: lambda a, i: f"{a} ^ {i}",
+    Op.SLTI: lambda a, i: f"1 if ({a} ^ {_S}) < ({i}) + {_S} else 0",
+    Op.SLTIU: lambda a, i: f"1 if {a} < {i} else 0",
+    Op.SLLI: lambda a, i: f"({a} << ({i} & 31)) & {_M}",
+    Op.SRLI: lambda a, i: f"{a} >> ({i} & 31)",
+    Op.SRAI: lambda a, i: f"(sgn({a}) >> ({i} & 31)) & {_M}",
+    Op.LUI: lambda a, i: f"({i} << 16) & {_M}",
 }
 
-_SB_STORES = {Op.SW: "ww", Op.SH: "wh", Op.SB: "wb"}
+#: Helper names an ALU op's expression calls.
+_SB_HELPERS = {Op.SRA: ("sgn",), Op.SRAI: ("sgn",), Op.DIV: ("sdiv",),
+               Op.REM: ("srem",)}
+
+#: Loads: op -> (accessor, fast view, fast-region read of address
+#: ``a``, sign extension of the loaded value ``v`` or None).
+_LOAD_W = "V[(a - B) >> 2] if B <= a < E and not a & 3 else rw(a)"
+_LOAD_H = "H[(a - B) >> 1] if B <= a < E and not a & 1 else rh(a)"
+_LOAD_B = "BUF[a - B] if B <= a < E else rb(a)"
+_SB_LOADS = {
+    Op.LW: ("rw", "V", _LOAD_W, None),
+    Op.LH: ("rh", "H", _LOAD_H, f"(v - 65536) & {_M} if v & 32768 else v"),
+    Op.LHU: ("rh", "H", _LOAD_H, None),
+    Op.LB: ("rb", "BUF", _LOAD_B, f"(v - 256) & {_M} if v & 128 else v"),
+    Op.LBU: ("rb", "BUF", _LOAD_B, None),
+}
+
+#: Stores: op -> (accessor, fast view, fast-region store of the value
+#: text ``{}`` at address ``a``, masked to the access width).
+_SB_STORES = {
+    Op.SW: ("ww", "V", "if B <= a < E and not a & 3: V[(a - B) >> 2] = {}"),
+    Op.SH: ("wh", "H",
+            "if B <= a < E and not a & 1: H[(a - B) >> 1] = {} & 65535"),
+    Op.SB: ("wb", "BUF", "if B <= a < E: BUF[a - B] = {} & 255"),
+}
+
+#: Accessor binding name -> the :class:`~repro.sim.memory.Memory`
+#: method it stands for.
+ACCESSORS = {"rw": "read_word", "rh": "read_half", "rb": "read_byte",
+             "ww": "write_word", "wh": "write_half", "wb": "write_byte"}
 
 _SB_BRANCH_COND = {
     Op.BEQ: lambda a, b: f"{a} == {b}",
@@ -122,18 +174,60 @@ _SB_BRANCH_COND = {
     Op.BGEU: lambda a, b: f"{a} >= {b}",
 }
 
-_SB_ALU_I_OPS = frozenset({
-    Op.ADDI, Op.ANDI, Op.ORI, Op.XORI, Op.SLTI, Op.SLTIU, Op.SLLI,
-    Op.SRLI, Op.SRAI, Op.LUI,
-})
+
+def _addr(a, i) -> str:
+    """Effective address of base text *a* plus offset text *i*."""
+    return f"({a} + ({i})) & {_M}"
+
+
+def _sb_term(op: Op, a: str, b: str, d, link: str, t: str) -> list[str]:
+    """Statements that end a block (or a per-instruction template) at
+    control transfer *op*.  *a*/*b* are the texts of the registers it
+    reads (:func:`_reads`), *d* the JALR link register (None when it
+    is ``zero``), *link* the fall-through pc and *t* the bound target
+    (absolute for J/JAL, offset from ``pc`` for a branch)."""
+    cond = _SB_BRANCH_COND.get(op)
+    if cond is not None:
+        return [f"return pc + {t} if {cond(a, b)} else {link}"]
+    if op is Op.J:
+        return [f"return {t}"]
+    if op is Op.JAL:
+        return [f"r[{RA}] = {link}", f"return {t}"]
+    if op is Op.JALR and d is not None:
+        # the target is read before the link is written (rd == rs1)
+        return [f"v = {a}", f"r[{d}] = {link}", "return v"]
+    return [f"return {a}"]  # JR, RET, JALR to zero
+
 
 #: Straight-line instructions the fuser may place mid-block.
-_SB_STRAIGHT_OPS = (frozenset(_SB_ALU_R) | _SB_ALU_I_OPS |
+_SB_STRAIGHT_OPS = (frozenset(_SB_ALU_R) | frozenset(_SB_ALU_I) |
                     frozenset(_SB_LOADS) | frozenset(_SB_STORES))
 
 #: Control transfers the fuser may inline as a block terminator.
 _SB_TERM_OPS = (frozenset(_SB_BRANCH_COND) |
                 frozenset({Op.J, Op.JAL, Op.JR, Op.JALR, Op.RET}))
+
+#: Ops that write ``rd``: with ``rd == zero`` they take the discarding
+#: template variant.
+_RD_OPS = (frozenset(_SB_ALU_R) | frozenset(_SB_ALU_I) |
+           frozenset(_SB_LOADS) | {Op.JALR})
+
+
+def _reads(ins) -> tuple[int, int]:
+    """The two source registers ``(a, b)`` of *ins* in table-operand
+    order, ``zero`` where unused: a store's ``b`` is its value register
+    and RET's ``a`` is ``ra``."""
+    op = ins.op
+    if op in _SB_ALU_R or op in _SB_BRANCH_COND:
+        return ins.rs1, ins.rs2
+    if op in _SB_STORES:
+        return ins.rs1, ins.rd
+    if op is Op.RET:
+        return RA, 0
+    if op in (Op.LUI, Op.J, Op.JAL):
+        return 0, 0
+    return ins.rs1, 0
+
 
 _J_OPNUMS = frozenset({Op.J.value, Op.JAL.value})
 
@@ -162,35 +256,6 @@ def taken_target(word: int, start: int, t: int) -> int:
     return t if word >> 26 in _J_OPNUMS else start + t
 
 
-def _sb_alu_i_expr(ins, a: str) -> str:
-    """Expression for a register-immediate ALU op with source text *a*
-    (a local or a folded literal); immediates are folded into the
-    text."""
-    op, imm = ins.op, ins.imm
-    if op is Op.ADDI:
-        return f"({a} + ({imm})) & {_M}"
-    if op is Op.ANDI:
-        return f"{a} & {imm}"
-    if op is Op.ORI:
-        return f"{a} | {imm}"
-    if op is Op.XORI:
-        return f"{a} ^ {imm}"
-    if op is Op.SLTI:
-        folded = ((imm & 0xFFFFFFFF) ^ _SIGN_FLIP)
-        return f"1 if ({a} ^ {_S}) < {folded} else 0"
-    if op is Op.SLTIU:
-        return f"1 if {a} < {imm} else 0"
-    if op is Op.SLLI:
-        return f"({a} << {imm & 31}) & {_M}"
-    if op is Op.SRLI:
-        return f"{a} >> {imm & 31}"
-    if op is Op.SRAI:
-        return f"(sgn({a}) >> {imm & 31}) & {_M}"
-    if op is Op.LUI:
-        return str((imm << 16) & 0xFFFFFFFF)  # constant-folded
-    raise AssertionError(op)  # pragma: no cover
-
-
 @dataclass
 class JitStats:
     """Counters for compiled superblocks (published as ``cpu.jit_*``).
@@ -214,13 +279,73 @@ class JitStats:
     jit_disk_stores: int = 0
 
 
-#: Environment for generation-time constant folding: the exact helper
-#: objects the generated code would call at runtime.
+#: Environment for generation-time constant folding, and the globals
+#: of per-instruction templates: the exact helper objects the
+#: generated code calls at runtime.
 _CONST_ENV = {"sgn": to_signed32, "sdiv": _sdiv, "srem": _srem,
               "__builtins__": {}}
 
 #: Source text -> compiled code object (JIT template instances).
 _JIT_CODE_CACHE: dict[str, object] = {}
+
+#: (op, discard variant) -> code object of the per-instruction template.
+_INSN_CODE: dict[tuple[Op, bool], object] = {}
+
+
+def _insn_code(op: Op, discard: bool):
+    """Compile the per-instruction template of *op* from the tables:
+    ``_i(pc, r, st, c, d, a, b, i, m) -> next pc`` over the registers
+    ``r``, the stats cell ``st``, the cost ``c``, the destination
+    ``d``, the sources ``a``/``b`` (:func:`_reads`), the immediate or
+    bound target ``i`` and the memory accessor ``m``.  The *discard*
+    variant (``rd == zero``) drops the result: an ALU op only counts,
+    a load still reads (it may fault), JALR links nothing.  Stats are
+    bumped before the memory access, so a faulting access counts."""
+    body = ["st[0] += 1; st[1] += c"]
+    if op in _SB_ALU_R or op in _SB_ALU_I:
+        if not discard:
+            expr = (_SB_ALU_R[op]("r[a]", "r[b]") if op in _SB_ALU_R
+                    else _SB_ALU_I[op]("r[a]", "i"))
+            body.append(f"r[d] = {expr}")
+        body.append("return pc + 4")
+    elif op in _SB_LOADS:
+        read = f"m({_addr('r[a]', 'i')})"
+        ext = _SB_LOADS[op][3]
+        if discard:
+            body.append(read)
+        elif ext is None:
+            body.append(f"r[d] = {read}")
+        else:
+            body += [f"v = {read}", f"r[d] = {ext}"]
+        body.append("return pc + 4")
+    elif op in _SB_STORES:
+        body += [f"m({_addr('r[a]', 'i')}, r[b])", "return pc + 4"]
+    else:
+        body += _sb_term(op, "r[a]", "r[b]", None if discard else "d",
+                         "pc + 4", "i")
+    src = ("def _i(pc, r, st, c, d, a, b, i, m):\n"
+           + "".join(f"    {line}\n" for line in body))
+    ns: dict = {}
+    exec(compile(src, f"<insn-{op.name.lower()}>", "exec"), ns)
+    code = _INSN_CODE[(op, discard)] = ns["_i"].__code__
+    return code
+
+
+def bind_insn(ins, word: int, regs, stats, cost: int, accessors):
+    """Per-instruction dispatch entry ``fn(pc) -> next pc`` for *ins*
+    (decoded from *word*): its (op, variant) template bound to one
+    CPU's registers, stats cell and memory *accessors* (binding name
+    -> method, see :data:`ACCESSORS`).  A J/JAL/branch binds its
+    :func:`bound_target` at offset 0, like a one-word block's ``T``."""
+    op = ins.op
+    discard = ins.rd == 0 and op in _RD_OPS
+    code = _INSN_CODE.get((op, discard)) or _insn_code(op, discard)
+    a, b = _reads(ins)
+    i = bound_target(word, 0) if word >> 26 in SHAPE_MASKS else ins.imm
+    mem_op = _SB_LOADS.get(op) or _SB_STORES.get(op)
+    return FunctionType(code, _CONST_ENV, "_i",
+                        (regs, stats, cost, ins.rd, a, b, i,
+                         mem_op and accessors[mem_op[0]]))
 
 
 def jit_codegen(costs, insns, term):
@@ -253,35 +378,11 @@ def jit_codegen(costs, insns, term):
         if reg:
             written.add(reg)
 
-    for _off, ins in insns:
-        op = ins.op
-        if op in _SB_ALU_R:
-            note_read(ins.rs1)
-            note_read(ins.rs2)
+    for _off, ins in insns + ([term] if term is not None else []):
+        for reg in _reads(ins):
+            note_read(reg)
+        if ins.op in _RD_OPS:
             note_write(ins.rd)
-        elif op is Op.LUI:
-            note_write(ins.rd)
-        elif op in _SB_ALU_I_OPS:
-            note_read(ins.rs1)
-            note_write(ins.rd)
-        elif op in _SB_LOADS:
-            note_read(ins.rs1)
-            note_write(ins.rd)
-        elif op in _SB_STORES:
-            note_read(ins.rs1)
-            note_read(ins.rd)
-        else:  # pragma: no cover - fuser admits only straight ops
-            raise AssertionError(op)
-    if term is not None:
-        tins = term[1]
-        top = tins.op
-        if top in _SB_BRANCH_COND:
-            note_read(tins.rs1)
-            note_read(tins.rs2)
-        elif top in (Op.JR, Op.JALR):
-            note_read(tins.rs1)
-        elif top is Op.RET:
-            note_read(RA)
 
     # -- emission -----------------------------------------------------
     #: reg -> "x{reg}" (live local) or int (known constant).
@@ -315,16 +416,18 @@ def jit_codegen(costs, insns, term):
     def addr_text(ins) -> str:
         base = const_of(ins.rs1)
         if base is not None:
-            return str((base + ins.imm) & MASK32)
-        return f"({operand(ins.rs1)} + ({ins.imm})) & {_M}"
+            return str(eval(_addr(base, ins.imm), dict(_CONST_ENV)))
+        return _addr(operand(ins.rs1), ins.imm)
 
     for off, ins in insns:
         op = ins.op
         tot_n += 1
         tot_c += costs[op]
+        ra, rb = _reads(ins)
         if op in _SB_LOADS:
-            reader, sign_bits = _SB_LOADS[op]
+            reader, view, fast, ext = _SB_LOADS[op]
             used.add(reader)
+            used.add(view)
             has_mem = True
             rd = ins.rd
             body.append(f"a = {addr_text(ins)}")
@@ -332,38 +435,25 @@ def jit_codegen(costs, insns, term):
             # bind time) served by a direct memoryview index; anything
             # else — other regions, misalignment, faults — falls back to
             # the accessor call, which is the only part that can raise
-            if reader == "rw":
-                used.add("V")
-                fast = (f"V[(a - B) >> 2] "
-                        f"if B <= a < E and not a & 3 else rw(a)")
-            elif reader == "rh":
-                used.add("H")
-                fast = (f"H[(a - B) >> 1] "
-                        f"if B <= a < E and not a & 1 else rh(a)")
-            else:
-                used.add("BUF")
-                fast = f"BUF[a - B] if B <= a < E else rb(a)"
             mem_marks.append((len(body), off, tot_n, tot_c, snapshot()))
             if rd == 0:
                 # read for fault semantics, discard the value
                 body.append(f"v = {fast}")
                 continue
-            if sign_bits is None:
+            if ext is None:
                 body.append(f"x{rd} = {fast}")
             else:
-                flip = 1 << (sign_bits - 1)
-                wrap = 1 << sign_bits
                 body.append(f"v = {fast}")
-                body.append(
-                    f"x{rd} = (v - {wrap}) & {_M} if v & {flip} else v")
+                body.append(f"x{rd} = {ext}")
             loc[rd] = f"x{rd}"
             dirty[rd] = None
         elif op in _SB_STORES:
-            writer = _SB_STORES[op]
+            writer, view, fast = _SB_STORES[op]
             used.add(writer)
+            used.add(view)
             has_mem = True
             has_store = True
-            val = operand(ins.rd)
+            val = operand(rb)
             body.append(f"a = {addr_text(ins)}")
             # the fast region is never executable, so an in-bounds store
             # cannot rewrite code and needs no self-modification check;
@@ -371,17 +461,7 @@ def jit_codegen(costs, insns, term):
             # spill the dirty registers, commit the executed prefix and
             # fall back to fresh dispatch so patched words take effect
             # exactly as they would under per-instruction decode
-            if writer == "ww":
-                used.add("V")
-                body.append(f"if B <= a < E and not a & 3: "
-                            f"V[(a - B) >> 2] = {val}")
-            elif writer == "wh":
-                used.add("H")
-                body.append(f"if B <= a < E and not a & 1: "
-                            f"H[(a - B) >> 1] = {val} & 65535")
-            else:
-                used.add("BUF")
-                body.append(f"if B <= a < E: BUF[a - B] = {val} & 255")
+            body.append(fast.format(val))
             body.append("else:")
             mem_marks.append((len(body), off, tot_n, tot_c, snapshot()))
             body.append(f"    {writer}(a, {val})")
@@ -390,66 +470,35 @@ def jit_codegen(costs, insns, term):
                         f"st[1] += {tot_c}; return pc + {off + 4}")
         else:
             rd = ins.rd
-            if op in _SB_ALU_R:
-                srcs = (ins.rs1, ins.rs2)
-                expr = _SB_ALU_R[op](operand(ins.rs1), operand(ins.rs2))
-                helpers = _SB_ALU_R_HELPERS.get(op, ())
-            elif op is Op.LUI:
-                srcs = ()
-                expr = str((ins.imm << 16) & MASK32)
-                helpers = ()
-            else:
-                srcs = (ins.rs1,)
-                expr = _sb_alu_i_expr(ins, operand(ins.rs1))
-                helpers = ("sgn",) if op is Op.SRAI else ()
             if rd == 0:
                 continue  # cost counted; architecturally a nop
-            if all(const_of(s) is not None for s in srcs):
+            if op in _SB_ALU_R:
+                expr = _SB_ALU_R[op](operand(ra), operand(rb))
+            else:
+                expr = _SB_ALU_I[op](operand(ra), ins.imm)
+            if const_of(ra) is not None and const_of(rb) is not None:
                 # every source is a known constant: evaluate the exact
                 # expression the runtime would have executed
                 loc[rd] = eval(expr, dict(_CONST_ENV))
             else:
-                used.update(helpers)
+                used.update(_SB_HELPERS.get(op, ()))
                 body.append(f"x{rd} = {expr}")
                 loc[rd] = f"x{rd}"
             dirty[rd] = None
-
-    def spill_lines() -> list[str]:
-        return [f"r[{r}] = {operand(r)}" for r in dirty]
 
     if term is not None:
         toff, tins = term
         top = tins.op
         tot_n += 1
         tot_c += costs[top]
+        ra, rb = _reads(tins)
         body.append(f"st[0] += {tot_n}; st[1] += {tot_c}")
-        body.extend(spill_lines())
-        if top in _SB_BRANCH_COND:
-            cond = _SB_BRANCH_COND[top](operand(tins.rs1),
-                                        operand(tins.rs2))
-            body.append(f"return pc + T if {cond} "
-                        f"else pc + {toff + 4}")
-        elif top is Op.J:
-            body.append("return T")
-        elif top is Op.JAL:
-            body.append(f"r[{RA}] = pc + {toff + 4}")
-            body.append("return T")
-        elif top is Op.JR:
-            body.append(f"return {operand(tins.rs1)}")
-        elif top is Op.JALR:
-            if tins.rd:
-                body.append(f"v = {operand(tins.rs1)}")
-                body.append(f"r[{tins.rd}] = pc + {toff + 4}")
-                body.append("return v")
-            else:
-                body.append(f"return {operand(tins.rs1)}")
-        elif top is Op.RET:
-            body.append(f"return {operand(RA)}")
-        else:  # pragma: no cover - terminator set is closed
-            raise AssertionError(top)
+        body.extend(f"r[{r}] = {operand(r)}" for r in dirty)
+        body.extend(_sb_term(top, operand(ra), operand(rb), tins.rd or None,
+                             f"pc + {toff + 4}", "T"))
     else:
         body.append(f"st[0] += {tot_n}; st[1] += {tot_c}")
-        body.extend(spill_lines())
+        body.extend(f"r[{r}] = {operand(r)}" for r in dirty)
         body.append(f"return pc + {insns[-1][0] + 4}")
 
     params = ["pc", "r=_r", "st=_st"]

@@ -1,8 +1,10 @@
 """Persistent compiled-superblock artifact store (the JIT warm path).
 
-Lives alongside the native-trace cache in ``.cache/traces/`` (same
-directory resolution: an explicit override, else ``$REPRO_TRACE_CACHE``,
-else ``.cache/traces``).  Each artifact is ``marshal``-serialized
+Lives alongside the native-trace cache in ``.cache/traces/``: both
+resolve their directory through :func:`artifact_dir` (an explicit
+override, else a non-empty ``$REPRO_TRACE_CACHE``, else
+``.cache/traces``) and write through :func:`write_atomic`.  Each
+artifact is ``marshal``-serialized
 ``(code object, fault fix-ups, source text)`` keyed by a blake2b digest
 of ``(codegen version, cost signature, raw instruction words)`` — the
 same content identity the in-process superblock caches use, so a warm
@@ -104,19 +106,18 @@ def load(digest: str):
     return code, fixups, src
 
 
-def store(digest: str, code, fixups, src: str) -> bool:
-    """Persist one artifact atomically; best-effort (returns success)."""
-    path = artifact_path(digest)
-    directory = path.parent
+def write_atomic(path: Path, write) -> bool:
+    """Best-effort atomic file write: ``write(fh)`` fills a temp file
+    beside *path* that then replaces it, so readers never see a partial
+    file.  Returns success: a read-only or missing directory, a full
+    disk or an unserializable value degrades to False, never an
+    error.  Shared by this store and the native-trace cache."""
     try:
-        directory.mkdir(parents=True, exist_ok=True)
-        if directory not in _swept_dirs:
-            _swept_dirs.add(directory)
-            sweep_stale(directory)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(marshal.dumps((code, fixups, src)))
+                write(fh)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -126,6 +127,19 @@ def store(digest: str, code, fixups, src: str) -> bool:
             raise
     except (OSError, ValueError):
         return False
+    return True
+
+
+def store(digest: str, code, fixups, src: str) -> bool:
+    """Persist one artifact atomically; best-effort (returns success).
+    The first store into a directory sweeps its stale generations."""
+    path = artifact_path(digest)
+    if not write_atomic(path, lambda fh: fh.write(
+            marshal.dumps((code, fixups, src)))):
+        return False
+    if path.parent not in _swept_dirs:
+        _swept_dirs.add(path.parent)
+        sweep_stale(path.parent)
     return True
 
 

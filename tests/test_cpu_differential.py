@@ -1,17 +1,21 @@
-"""Differential testing of CPU ALU semantics.
+"""Differential testing of CPU semantics against the ISA spec.
 
-Hypothesis generates random straight-line ALU programs; the simulator
-executes them and the results are compared register-by-register
-against an independent golden model written directly from the ISA
-spec.  Any divergence in wrapping, sign extension, shift masking or
-division conventions shows up here.
+Hypothesis generates random programs of ALU ops, loads and forward
+branches, with register values biased to the sign boundary; the
+simulator executes them under both dispatch paths and the results are
+compared register-by-register against an independent golden model
+written directly from the ISA spec.  Both paths derive from one
+expression table, so comparing them with each other cannot catch a
+wrong expression — this test can.  Any divergence in wrapping, sign
+extension, shift masking, division conventions or branch conditions
+shows up here.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.asm import assemble_and_link
 from repro.isa import Insn, Op, encode
-from repro.sim import Machine
+from repro.sim import Machine, MachineConfig
 
 MASK32 = 0xFFFFFFFF
 
@@ -95,28 +99,112 @@ def golden_alui(op, a, imm):
     raise AssertionError(op)
 
 
+def golden_branch(op, a, b):
+    """Whether a conditional branch is taken, from docs/ISA.md."""
+    if op is Op.BEQ:
+        return a == b
+    if op is Op.BNE:
+        return a != b
+    if op is Op.BLT:
+        return _signed(a) < _signed(b)
+    if op is Op.BGE:
+        return _signed(a) >= _signed(b)
+    if op is Op.BLTU:
+        return a < b
+    if op is Op.BGEU:
+        return a >= b
+    raise AssertionError(op)
+
+
+def golden_load(op, data, off):
+    """Little-endian load of ``data[off:]``; LB/LH sign-extend."""
+    size = _LOADS[op]
+    value = int.from_bytes(data[off:off + size], "little")
+    top = 1 << (8 * size - 1)
+    if op in (Op.LB, Op.LH) and value & top:
+        value -= 2 * top
+    return value & MASK32
+
+
+_BRANCHES = [Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLTU, Op.BGEU]
+#: load op -> access size in bytes
+_LOADS = {Op.LB: 1, Op.LBU: 1, Op.LH: 2, Op.LHU: 2, Op.LW: 4}
+#: the load base register, holding the address of the data block
+_BASE = 24
+_DATA_LEN = 64
+#: register values around the signed/unsigned wrap points
+_BOUNDARY = [0, 1, 0x7FFFFFFF, 0x80000000, 0x80000001, 0xFFFFFFFE,
+             MASK32]
+
+_words = st.one_of(st.sampled_from(_BOUNDARY), st.integers(0, MASK32))
+_dests = st.sampled_from(_REGS + [0])
+_srcs = st.sampled_from(_REGS + [0])
+
+
 @st.composite
-def alu_programs(draw):
-    """(instructions, seeds): a straight-line random ALU program."""
-    seeds = {reg: draw(st.integers(0, MASK32)) for reg in _REGS}
+def _alu_insn(draw):
+    if draw(st.booleans()):
+        return Insn(draw(st.sampled_from(_ALU_R)), rd=draw(_dests),
+                    rs1=draw(_srcs), rs2=draw(_srcs))
+    op = draw(st.sampled_from(_ALU_I))
+    imm = (draw(st.integers(0, 0xFFFF))
+           if op in (Op.ANDI, Op.ORI, Op.XORI, Op.SLTIU,
+                     Op.SLLI, Op.SRLI, Op.SRAI, Op.LUI)
+           else draw(st.integers(-32768, 32767)))
+    return Insn(op, rd=draw(_dests), rs1=draw(_srcs), imm=imm)
+
+
+@st.composite
+def programs(draw):
+    """(instructions, seeds, data): a random program of ALU ops, loads
+    from a data block and forward branches that skip one
+    instruction."""
+    seeds = {reg: draw(_words) for reg in _REGS}
+    data = draw(st.binary(min_size=_DATA_LEN, max_size=_DATA_LEN))
     instructions = []
     for _ in range(draw(st.integers(1, 30))):
-        if draw(st.booleans()):
-            op = draw(st.sampled_from(_ALU_R))
-            instructions.append(Insn(
-                op, rd=draw(st.sampled_from(_REGS)),
-                rs1=draw(st.sampled_from(_REGS)),
-                rs2=draw(st.sampled_from(_REGS))))
+        kind = draw(st.sampled_from(("alu", "alu", "load", "branch")))
+        if kind == "load":
+            op = draw(st.sampled_from(list(_LOADS)))
+            size = _LOADS[op]
+            off = size * draw(st.integers(0, _DATA_LEN // size - 1))
+            instructions.append(Insn(op, rd=draw(_dests), rs1=_BASE,
+                                     imm=off))
+        elif kind == "branch":
+            # taken: pc + 4 + (1 << 2), over the next instruction
+            instructions.append(Insn(draw(st.sampled_from(_BRANCHES)),
+                                     rs1=draw(_srcs), rs2=draw(_srcs),
+                                     imm=1))
+            instructions.append(draw(_alu_insn()))
         else:
-            op = draw(st.sampled_from(_ALU_I))
-            imm = (draw(st.integers(0, 0xFFFF))
-                   if op in (Op.ANDI, Op.ORI, Op.XORI, Op.SLTIU,
-                             Op.SLLI, Op.SRLI, Op.SRAI, Op.LUI)
-                   else draw(st.integers(-32768, 32767)))
-            instructions.append(Insn(
-                op, rd=draw(st.sampled_from(_REGS)),
-                rs1=draw(st.sampled_from(_REGS)), imm=imm))
-    return instructions, seeds
+            instructions.append(draw(_alu_insn()))
+    return instructions, seeds, data
+
+
+def golden_run(instructions, seeds, data):
+    """Final registers and executed-instruction count, per the spec."""
+    regs = dict(seeds)
+    regs[0] = 0
+    executed = 0
+    i = 0
+    while i < len(instructions):
+        ins = instructions[i]
+        op = ins.op
+        executed += 1
+        i += 1
+        if op in _BRANCHES:
+            if golden_branch(op, regs[ins.rs1], regs[ins.rs2]):
+                i += 1
+            continue
+        if op in _LOADS:
+            value = golden_load(op, data, ins.imm)
+        elif op in _ALU_R:
+            value = golden_alu(op, regs[ins.rs1], regs[ins.rs2])
+        else:
+            value = golden_alui(op, regs[ins.rs1], ins.imm)
+        if ins.rd:
+            regs[ins.rd] = value
+    return regs, executed
 
 
 _HARNESS = """
@@ -126,46 +214,37 @@ main:
     ret
 """
 
+_IMAGE = assemble_and_link(_HARNESS)
+#: program text in local RAM, the data block in the data region
+_TEXT = 0x0001_0000
+_DATA = _IMAGE.data_base + 0x100
+
 
 @settings(max_examples=120, deadline=None)
-@given(alu_programs())
+@given(programs())
 def test_alu_differential(program):
-    instructions, seeds = program
-    image = assemble_and_link(_HARNESS)
-    machine = Machine(image)
-    cpu = machine.cpu
-
-    # write the program into spare text via the machine's memory
-    base = image.text_end - 0  # append is not possible; use local RAM
-    base = 0x0001_0000
+    """Both dispatch paths — compiled superblocks and per-instruction
+    entries, built from one expression table — against the spec."""
+    instructions, seeds, data = program
     words = [encode(ins) for ins in instructions]
     words.append(encode(Insn(Op.HALT)))
-    machine.mem.write_bytes(base, b"".join(
-        w.to_bytes(4, "little") for w in words))
+    golden, executed = golden_run(instructions, seeds, data)
 
-    # golden model
-    regs = {reg: value for reg, value in seeds.items()}
-    for ins in instructions:
-        spec = ins.op
-        if spec in _ALU_R:
-            a = regs[ins.rs1] if ins.rs1 in regs else 0
-            b = regs[ins.rs2] if ins.rs2 in regs else 0
-            regs[ins.rd] = golden_alu(spec, a, b)
-        else:
-            a = regs[ins.rs1] if ins.rs1 in regs else 0
-            imm = ins.imm & (MASK32 if spec in (
-                Op.ANDI, Op.ORI, Op.XORI, Op.SLTIU, Op.SLLI, Op.SRLI,
-                Op.SRAI, Op.LUI) else -1)
-            regs[ins.rd] = golden_alui(spec, a, ins.imm)
+    for superblocks in (True, False):
+        machine = Machine(_IMAGE, MachineConfig(superblocks=superblocks))
+        cpu = machine.cpu
+        machine.mem.write_bytes(_TEXT, b"".join(
+            w.to_bytes(4, "little") for w in words))
+        machine.mem.write_bytes(_DATA, data)
+        for reg, value in seeds.items():
+            cpu.set_reg(reg, value)
+        cpu.set_reg(_BASE, _DATA)
+        cpu.pc = _TEXT
+        cpu.run(max_instructions=1000)
 
-    # simulator
-    for reg, value in seeds.items():
-        cpu.set_reg(reg, value)
-    cpu.pc = base
-    cpu.run(max_instructions=1000)
-
-    for reg in _REGS:
-        assert cpu.regs[reg] == regs[reg], (
-            f"r{reg} diverged: sim={cpu.regs[reg]:#x} "
-            f"golden={regs[reg]:#x}\n"
-            f"program={[str(i) for i in instructions]}")
+        assert cpu.icount == executed + 1  # + HALT
+        for reg in _REGS:
+            assert cpu.regs[reg] == golden[reg], (
+                f"r{reg} diverged (superblocks={superblocks}): "
+                f"sim={cpu.regs[reg]:#x} golden={golden[reg]:#x}\n"
+                f"program={[str(i) for i in instructions]}")

@@ -575,6 +575,27 @@ def test_warm_process_skips_codegen(tmp_path):
         (cold["cycles"], cold["icount"])
 
 
+def test_per_instruction_entries_bind_shared_templates(artifact_dir):
+    """Per-instruction dispatch binds one template per (opcode,
+    ``rd == zero`` variant) from the ISA table: every entry of a
+    variant shares its code object, there are at most two per opcode,
+    and the run generates and writes no JIT artifact."""
+    machine = Machine(build_workload("sensor", 0.05), PER_INSN)
+    machine.run()
+    cpu = machine.cpu
+    codes: dict[tuple, set] = {}
+    for pc, fn in cpu._decoded.items():
+        ins = decode(machine.mem.read_word(pc))
+        codes.setdefault((ins.op, ins.rd == 0), set()).add(fn.__code__)
+    assert all(len(variant) == 1 for variant in codes.values())
+    assert len(cpu._decoded) > len(codes)  # entries really share
+    n_ops = len({op for op, _ in codes})
+    assert len(set().union(*codes.values())) <= 2 * n_ops
+    assert cpu.jit_stats.jit_codegen == 0
+    assert cpu.jit_stats.jit_blocks == 0
+    assert not list(artifact_dir.iterdir())
+
+
 # -- observability ----------------------------------------------------
 
 

@@ -6,6 +6,9 @@ call — same process or a fresh one (simulated here by clearing the
 in-process memo) — replays from disk without touching the simulator.
 """
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,13 +16,14 @@ from repro.eval import common
 from repro.eval.common import clear_trace_cache, native_trace
 from repro.eval.parallel import fan_workloads, prewarm_traces
 from repro.eval.table1 import table1
+from repro.sim import jitcache
 from repro.sim.machine import Machine
 
 
 @pytest.fixture
 def cache_dir(tmp_path):
     """A private, empty disk cache for one test."""
-    prev = common._cache_dir_override
+    prev = jitcache._dir_override
     common.set_trace_cache_dir(tmp_path)
     clear_trace_cache()
     yield tmp_path
@@ -111,3 +115,41 @@ def test_fan_workloads_matches_serial(cache_dir):
 def test_fan_workloads_serial_path(cache_dir):
     rows = fan_workloads(table1, ("hextobdd",), processes=1, scale=0.02)
     assert rows == table1(scale=0.02, workloads=("hextobdd",))
+
+
+def test_empty_env_var_resolves_like_the_jit_store(monkeypatch):
+    """An empty ``$REPRO_TRACE_CACHE`` means "unset" for both stores
+    (it used to send native traces to the working directory)."""
+    prev = jitcache._dir_override
+    monkeypatch.setenv("REPRO_TRACE_CACHE", "")
+    common.set_trace_cache_dir(None)
+    try:
+        assert common.trace_cache_dir() == jitcache.artifact_dir() \
+            == Path(".cache") / "traces"
+    finally:
+        common.set_trace_cache_dir(prev)
+
+
+def test_sweep_and_clear_spare_foreign_npz(cache_dir):
+    foreign = cache_dir / "mydata.npz"
+    stale = cache_dir / "trace-v1-beef.npz"
+    legacy = cache_dir / ("ab" * 32 + ".npz")
+    for path in (foreign, stale, legacy):
+        path.write_bytes(b"x")
+    assert common.sweep_stale_cache_versions(cache_dir) == 2
+    assert foreign.exists()
+    assert not stale.exists() and not legacy.exists()
+
+    native_trace("sensor", 0.02)
+    clear_trace_cache(disk=True)
+    assert foreign.exists()
+    assert not list(cache_dir.glob("trace-v*"))
+
+
+def test_store_is_best_effort(cache_dir):
+    """An entry that cannot be serialized is skipped, never raised."""
+    run = native_trace("sensor", 0.02)
+    unencodable = dataclasses.replace(run, output="☃")
+    assert common._store_disk(cache_dir / "x.npz", unencodable) is False
+    assert not list(cache_dir.glob("*.tmp"))
+    assert not (cache_dir / "x.npz").exists()
