@@ -4,21 +4,23 @@ Two halves, written to ``BENCH_policy.json`` for CI to archive:
 
 * **Per-policy thrash gate** — the bench_misspath thrash workload
   (sensor, 768B tcache, local link, ``prefetch_depth 0``) run once
-  per policy.  At depth 0 no admission path executes and trrip ships
-  with ``preemptive_flush`` off, so every eviction-path policy must
-  land on the same simulated counts as fifo (asserted) and under the
-  same ``--floor-ms`` wall-clock floor: the policy layer may not tax
-  the seed hot path.  ``flush`` is reported but not floor-gated — it
+  per policy.  At depth 0 no admission path executes, so every
+  eviction-path policy must land on the same simulated counts as
+  fifo and under the same ``--floor-ms`` wall-clock floor: the
+  policy layer may not tax the seed hot path.  ``flush`` is reported but not floor-gated — it
   re-translates ~46% more chunks by design and has never been inside
   the fifo-path floor.
 * **Policy × depth ablations** — the fig8-per-policy sweep
   (:func:`repro.eval.fig8_policy_ablation`: adpcm_enc in its paging
-  regime, proc granularity) plus a sensor block-granularity sweep on
-  a 1KiB tcache, both on the networked link at depths 0/2/4.  The
-  winner block records, per workload, the lowest-cycle cell at depth
-  ≥ 2 and the admission policy that most reduces shipped-then-wasted
-  prefetch traffic vs fifo at the same depth; the default policy
-  only changes if one policy wins cycles on *both* workloads.
+  regime, proc granularity), a sensor block-granularity sweep on a
+  1KiB tcache at depths 0/2/4, and the streaming cell (compress95,
+  block granularity, 512B tcache, depths 2/4) where seqcutoff's
+  sequential-run rejection beats fifo, all on the networked link.
+  The winner block records, per workload, the lowest-cycle cell at
+  depth ≥ 2 and the admission policy that most reduces
+  shipped-then-wasted prefetch traffic vs fifo at the same depth;
+  the default policy only changes if one policy wins cycles on every
+  workload.
 
 Usage::
 
@@ -88,21 +90,16 @@ def _thrash_per_policy(image, policies, repeat: int) -> dict:
     return out
 
 
-def _sensor_sweep(image, policies,
-                  depths=(0, 2, 4)) -> list[dict]:
-    """Block-granularity admission sweep: sensor on a 1KiB tcache."""
+def _block_sweep(image, policies, tcache_size: int,
+                 depths) -> list[dict]:
+    """Block-granularity admission sweep on the networked link."""
     from repro.net import LinkModel
-    from repro.profiling import temperature_for_image
 
-    temperature = (temperature_for_image(image)
-                   if "trrip" in policies else None)
     rows = []
     for policy in policies:
-        params = ({"temperature": temperature}
-                  if policy == "trrip" else None)
         for depth in depths:
             system = SoftCacheSystem(image, SoftCacheConfig(
-                tcache_size=1024, policy=policy, policy_params=params,
+                tcache_size=tcache_size, policy=policy,
                 prefetch_depth=depth, link=LinkModel(),
                 record_timeline=False))
             report = system.run()
@@ -110,6 +107,7 @@ def _sensor_sweep(image, policies,
             rows.append({
                 "policy": policy, "depth": depth,
                 "cycles": report.cycles,
+                "translations": s.translations,
                 "prefetch_installs": s.prefetch_installs,
                 "prefetch_hits": s.prefetch_hits,
                 "prefetch_drops": s.prefetch_drops,
@@ -174,11 +172,15 @@ def run_benchmarks(repeat: int = 3, scale: float = 0.35) -> dict:
     results["thrash"] = _thrash_per_policy(image, policies, repeat)
 
     adpcm_rows = [vars(r) for r in fig8_policy_ablation(scale=scale)]
-    sensor_rows = _sensor_sweep(image, policies)
+    sensor_rows = _block_sweep(image, policies, 1024, (0, 2, 4))
+    stream_rows = _block_sweep(build_workload("compress95", 0.05),
+                               policies, 512, (2, 4))
     results["ablation_adpcm"] = adpcm_rows
     results["ablation_sensor"] = sensor_rows
+    results["ablation_streaming"] = stream_rows
     verdicts = {"adpcm_enc": _winner(adpcm_rows),
-                "sensor": _winner(sensor_rows)}
+                "sensor": _winner(sensor_rows),
+                "compress95": _winner(stream_rows)}
     cycle_winners = {v["cycles_winner"]["policy"]
                      for v in verdicts.values()}
     # a challenger becomes default only by winning cycles everywhere
@@ -218,7 +220,8 @@ def main(argv: list[str] | None = None) -> int:
             line += f"  FAIL > {args.floor_ms:.0f}ms floor"
             failed = True
         print(line)
-    for label in ("ablation_adpcm", "ablation_sensor"):
+    for label in ("ablation_adpcm", "ablation_sensor",
+                  "ablation_streaming"):
         for row in results[label]:
             print(f"{label} {row['policy']:>9} depth {row['depth']}: "
                   f"{row['cycles']} cycles, "
@@ -226,6 +229,14 @@ def main(argv: list[str] | None = None) -> int:
                   f"{row['prefetch_dropped_bytes']}B dropped, "
                   f"{row['wasted_prefetch_bytes']}B wasted, "
                   f"{row['policy_prefetch_rejects']} rejected")
+    stream = {(r["policy"], r["depth"]): r
+              for r in results["ablation_streaming"]}
+    for depth in sorted({d for _, d in stream}):
+        seq, fifo = stream["seqcutoff", depth], stream["fifo", depth]
+        print(f"streaming depth {depth}: seqcutoff vs fifo "
+              + ", ".join(f"{seq[k] - fifo[k]:+d} {k}" for k in
+                          ("translations", "prefetch_drops",
+                           "link_bytes", "cycles")))
     winner = results["winner"]
     for workload, verdict in winner["per_workload"].items():
         cw = verdict["cycles_winner"]

@@ -17,15 +17,14 @@ import sys
 from pathlib import Path
 
 from .isa import disassemble_range
-from .net import LOCAL_LINK, LinkModel
+from .net import LOCAL_LINK, FaultPlan, LinkModel
 from .profiling import profile_image
 from .sim import run_native
 from .softcache import SoftCacheConfig, SoftCacheSystem, policy_names
 from .workloads import WORKLOADS, build_workload
 
 
-def _softcache_config(args, recorder=None,
-                      policy_params=None) -> SoftCacheConfig:
+def _softcache_config(args, recorder=None) -> SoftCacheConfig:
     """The SoftCacheConfig shared by run/trace/debug/fleet."""
     dcache_config = None
     if getattr(args, "dcache", 0):
@@ -35,35 +34,15 @@ def _softcache_config(args, recorder=None,
         else LinkModel()
     fault_plan = None
     if getattr(args, "fault_plan", None):
-        from .net import FaultPlan
         fault_plan = FaultPlan.parse(args.fault_plan,
                                      seed=getattr(args, "seed", 0))
     return SoftCacheConfig(
         tcache_size=args.tcache, granularity=args.granularity,
-        policy=args.policy, policy_params=policy_params,
-        link=link, data_cache=dcache_config,
+        policy=args.policy, link=link, data_cache=dcache_config,
         prefetch_depth=args.prefetch_depth,
         debug_poison=getattr(args, "poison", False),
         recorder=recorder, fault_plan=fault_plan,
         update_at=tuple(getattr(args, "update_at", None) or ()))
-
-
-def _resolve_policy_params(policy: str, image) -> dict | None:
-    """Policy constructor params a CLI run can derive from the image.
-
-    ``trrip`` wants the profiler's temperature signal, so (like
-    ``--tcache-size auto``) it costs one native profiling run up
-    front; every other policy needs nothing.
-    """
-    if policy != "trrip":
-        return None
-    from .profiling import temperature_for_image
-    tm = temperature_for_image(image)
-    print(f"[policy] trrip temperatures from the profile: "
-          f"{tm.counts.get('hot', 0)} hot / "
-          f"{tm.counts.get('warm', 0)} warm / "
-          f"{tm.counts.get('cold', 0)} cold procs")
-    return {"temperature": tm}
 
 
 def _write_trace(recorder, out, *, process_names=None) -> None:
@@ -90,6 +69,34 @@ def _tcache_size(value: str):
     if value.strip().lower() == "auto":
         return "auto"
     return int(value)
+
+
+def _guest_pc(value: str) -> int:
+    """``--dump-superblock``: a guest PC, hex (``0x``) or decimal."""
+    try:
+        return int(value, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid PC {value!r} (hex 0x... or decimal)") from None
+
+
+def _fault_plan_spec(value: str) -> str:
+    """``--fault-plan``: checked by :meth:`FaultPlan.parse` at parse
+    time; the plan itself is built later, once ``--seed`` is known."""
+    try:
+        FaultPlan.parse(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
+def _client_count(value: str) -> int:
+    """``--clients``: a fleet size, zero or more."""
+    n = int(value)
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"client count must be >= 0, got {n}")
+    return n
 
 
 def _resolve_auto_tcache(args, image) -> None:
@@ -177,9 +184,7 @@ def _cmd_run(args) -> int:
     if getattr(args, "trace", None):
         from .obs import FlightRecorder
         recorder = FlightRecorder()
-    config = _softcache_config(
-        args, recorder=recorder,
-        policy_params=_resolve_policy_params(args.policy, image))
+    config = _softcache_config(args, recorder=recorder)
     server = _start_server(args)
     try:
         system = SoftCacheSystem(image, config)
@@ -246,9 +251,7 @@ def _cmd_trace(args) -> int:
                            arm_profile=(args.granularity == "proc"))
     _resolve_auto_tcache(args, image)
     recorder = FlightRecorder()
-    config = _softcache_config(
-        args, recorder=recorder,
-        policy_params=_resolve_policy_params(args.policy, image))
+    config = _softcache_config(args, recorder=recorder)
     system = SoftCacheSystem(image, config)
     report = system.run()
     out = args.out or f"trace-{args.workload}"
@@ -273,14 +276,13 @@ def _cmd_debug(args) -> int:
     image = build_workload(args.workload, args.scale,
                            arm_profile=(args.granularity == "proc"))
     _resolve_auto_tcache(args, image)
-    config = _softcache_config(
-        args, policy_params=_resolve_policy_params(args.policy, image))
+    config = _softcache_config(args)
     system = SoftCacheSystem(image, config)
     system.run()
     checked = check_consistency(system.cc)
     if args.dump_superblock is not None:
         print(dump_superblock(system.machine.cpu,
-                              int(args.dump_superblock, 0)))
+                              args.dump_superblock))
     elif args.dot:
         print(chunk_graph_dot(system.cc))
     else:
@@ -300,14 +302,12 @@ def _cmd_fleet(args) -> int:
     if args.trace:
         from .obs import FlightRecorder
         recorder = FlightRecorder()
-    config = _softcache_config(
-        args, policy_params=_resolve_policy_params(args.policy, image))
+    config = _softcache_config(args)
     server = _start_server(args)
     try:
         result = simulate_fleet(image, args.clients, config,
                                 stagger_s=args.stagger,
                                 recorder=recorder,
-                                queue_model=args.queue_model,
                                 shards=args.shards,
                                 hub_capacity=args.hub_capacity,
                                 distinct_clients=args.distinct,
@@ -317,8 +317,7 @@ def _cmd_fleet(args) -> int:
             server.close()
     print(f"[fleet] {result.n_clients} clients "
           f"({result.distinct_clients} distinct), "
-          f"stagger {args.stagger * 1e3:.1f} ms, "
-          f"{result.queue_model} queue model")
+          f"stagger {args.stagger * 1e3:.1f} ms")
     print(f"  mc requests       : {result.mc_requests} "
           f"({result.mc_chunks_built} chunks built, "
           f"{100 * result.chunk_cache_sharing:.0f}% shared)")
@@ -393,13 +392,11 @@ def _cmd_chaos(args) -> int:
     policy = getattr(args, "policy", "fifo")
     for name in workloads:
         image = build_workload(name, args.scale)
-        params = _resolve_policy_params(policy, image)
         # poison evicted blocks in the baseline too: the digest covers
         # local RAM, so both runs must paint evictions the same way
         baseline = SoftCacheSystem(image, SoftCacheConfig(
             tcache_size=args.tcache, record_timeline=False,
-            debug_poison=True, policy=policy, policy_params=params,
-            update_at=update_at))
+            debug_poison=True, policy=policy, update_at=update_at))
         baseline.run()
         want = state_fn(baseline)
         for i in range(args.plans):
@@ -411,8 +408,7 @@ def _cmd_chaos(args) -> int:
                 system = SoftCacheSystem(image, SoftCacheConfig(
                     tcache_size=args.tcache, record_timeline=False,
                     debug_poison=True, recorder=recorder,
-                    policy=policy, policy_params=params,
-                    fault_plan=plan, update_at=update_at))
+                    policy=policy, fault_plan=plan, update_at=update_at))
                 system.run()
                 check_consistency(system.cc)
                 got = state_fn(system)
@@ -662,12 +658,12 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("block", "ebb", "proc"))
         p.add_argument("--policy", default="fifo",
                        choices=policy_names(),
-                       help="replacement policy (trrip profiles the "
-                            "workload first for its temperature map)")
+                       help="replacement policy")
         p.add_argument("--prefetch-depth", type=int, default=0,
                        help="successor chunks batched onto each miss "
                             "reply (0 = paper-faithful protocol)")
         p.add_argument("--fault-plan", metavar="SPEC",
+                       type=_fault_plan_spec,
                        help="inject link faults: a preset (none, "
                             "lossy, chaos) or k=v terms like "
                             "drop=0.1,corrupt=0.05,partition=40:60 "
@@ -731,6 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
     debug.add_argument("--poison", action="store_true",
                        help="poison evicted blocks (louder audits)")
     debug.add_argument("--dump-superblock", metavar="PC",
+                       type=_guest_pc,
                        help="print kind, bound target, guest "
                             "disassembly and generated Python source "
                             "for the superblock(s) covering PC (hex "
@@ -740,17 +737,12 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet", help="simulate N clients sharing one MC and uplink")
     fleet.add_argument("workload", choices=sorted(WORKLOADS))
     add_softcache_opts(fleet, scale=0.1)
-    fleet.add_argument("--clients", type=int, default=4)
+    fleet.add_argument("--clients", type=_client_count, default=4)
     fleet.add_argument("--stagger", type=float, default=0.0,
                        help="boot-time offset between clients (s)")
     fleet.add_argument("--trace", metavar="OUT",
                        help="record a fleet-wide trace (per-client "
                             "timelines merged)")
-    fleet.add_argument("--queue-model", default="event",
-                       choices=("event", "legacy"),
-                       help="event: one simulated clock with live "
-                            "queueing feedback; legacy: the old "
-                            "post-hoc FIFO estimate")
     fleet.add_argument("--shards", type=int, default=1,
                        help="consistent-hash MC shards behind the hub")
     fleet.add_argument("--hub-capacity", type=int, default=0,
@@ -821,8 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
     admin.add_argument("--policy", default=None,
                        choices=policy_names(),
                        help="set: swap the replacement policy (fresh "
-                            "metadata; trrip runs without a "
-                            "temperature map when set mid-run)")
+                            "metadata)")
     admin.add_argument("--tcache-size", type=int, default=None,
                        help="resize: new effective tcache size, "
                             "bytes (flushes; applied at the next "

@@ -192,7 +192,6 @@ def fig8_policy_ablation(workload: str = "adpcm_enc",
     untouched.
     """
     from ..net import LinkModel
-    from ..profiling import temperature_for_image
     from ..softcache import policy_names
 
     image = build_workload(workload, scale, arm_profile=True)
@@ -200,19 +199,13 @@ def fig8_policy_ablation(workload: str = "adpcm_enc",
         memory = derive_memories(workload, scale)[0]
     if policies is None:
         policies = policy_names()
-    temperature = None
-    if "trrip" in policies:
-        temperature = temperature_for_image(image)
     rows: list[Fig8PolicyRow] = []
     base_cycles: int | None = None
     for policy in policies:
-        params = ({"temperature": temperature}
-                  if policy == "trrip" else None)
         for depth in depths:
             config = SoftCacheConfig(
                 tcache_size=memory, granularity="proc",
-                policy=policy, policy_params=params,
-                prefetch_depth=depth, link=LinkModel(),
+                policy=policy, prefetch_depth=depth, link=LinkModel(),
                 record_timeline=False)
             system = SoftCacheSystem(image, config)
             report = system.run(max_instructions)

@@ -31,11 +31,6 @@ reconstructed after the fact.  Arrival times are computed as
 ``boot + cycles_to_seconds(start_cycles) + accumulated_wait`` — one
 expression from the captured integer cycle counts — so a 1-client
 fleet reproduces the solo run's simulated seconds *bit-identically*.
-
-:func:`run_legacy_sim` keeps the old post-hoc model (one FIFO pass
-over the merged arrival timeline, no feedback) over the *same*
-captured records; the two models differ only in feedback and the
-shard tier, which is why they converge at low uplink utilization.
 """
 
 from __future__ import annotations
@@ -269,7 +264,7 @@ class WireTap:
 
 @dataclass
 class SimOutcome:
-    """What one queueing simulation (event or legacy) produced."""
+    """What one queueing simulation produced."""
 
     #: Per-client total queueing wait (uplink + shard), seconds.
     waits: list[float]
@@ -302,8 +297,7 @@ def run_event_sim(traces, boots, *, costs, n_shards: int = 1,
     orders the next pending RPC of every client; popping an event
     queues it FIFO on the shared uplink and — for chunk traffic that
     misses the shared edge hub — on its origin shard, and the waits
-    incurred shift all of that client's later arrivals (the feedback
-    the legacy model lacks).
+    incurred shift all of that client's later arrivals.
     """
     n = len(traces)
     cts = costs.cycles_to_seconds
@@ -406,60 +400,3 @@ def run_event_sim(traces, boots, *, costs, n_shards: int = 1,
         if chunk_visits else 0.0,
         max_shard_delay_s=s_max,
         hub_requests=hub_requests, hub_hits=hub_hits)
-
-
-def run_legacy_sim(traces, boots, *, costs, n_shards: int = 1,
-                   recorder=None) -> SimOutcome:
-    """The pre-event post-hoc model over the same captured records.
-
-    Merges every client's arrivals (unshifted — no feedback) into one
-    timeline and pushes it through a single FIFO server.  Kept as
-    ``--queue-model legacy`` both as a regression baseline and as the
-    convergence oracle: at low utilization the feedback the event
-    model adds is negligible and the two must agree.
-    """
-    n = len(traces)
-    cts = costs.cycles_to_seconds
-    hz = costs.cpu_hz
-    waits = [0.0] * n
-    ends = [0.0] * n
-    shard_req = [0] * n_shards
-    events: list[tuple[float, float]] = []
-    for c in range(n):
-        trace = traces[c]
-        boot = boots[c]
-        for r in trace.records:
-            events.append((boot + cts(r.start_cycles), r.wire_s))
-        ends[c] = boot + cts(trace.total_cycles)
-        for sid, cnt in trace.shard_demands.items():
-            shard_req[sid if sid < n_shards else 0] += cnt
-    events.sort()
-    busy_until = 0.0
-    total_delay = 0.0
-    max_delay = 0.0
-    delayed = 0
-    total_service = 0.0
-    for arrival, service in events:
-        begin = arrival if arrival >= busy_until else busy_until
-        delay = begin - arrival
-        if delay > 0:
-            delayed += 1
-            if recorder is not None:
-                recorder.emit("fleet.queue", "fleet",
-                              cycles=int(arrival * hz),
-                              dur=int(delay * hz), where="uplink",
-                              arrival_s=arrival, delay_s=delay,
-                              service_s=service)
-        total_delay += delay
-        if delay > max_delay:
-            max_delay = delay
-        busy_until = begin + service
-        total_service += service
-    return SimOutcome(
-        waits=waits, ends=ends, uplink_busy_s=total_service,
-        busy_until=busy_until,
-        mean_queue_delay_s=(total_delay / len(events))
-        if events else 0.0,
-        max_queue_delay_s=max_delay, delayed_requests=delayed,
-        shard_requests=shard_req,
-        shard_busy_s=[0.0] * n_shards)

@@ -73,9 +73,8 @@ class LinkModel:
         Pure serialization time — no latency term.  This is the
         occupancy one message contributes to a shared uplink: while
         its bytes are on the wire nobody else can transmit, whereas
-        propagation latency overlaps freely.  The fleet's queueing
-        models (event-driven and legacy) both charge exactly this per
-        exchange, which is what lets them converge at low load.
+        propagation latency overlaps freely.  The fleet scheduler
+        charges exactly this per exchange.
         """
         return total_bytes * 8 / self.bandwidth_bps
 

@@ -50,7 +50,9 @@ from .metrics import MetricsRegistry
 #: cc.update_barrier) — see docs/UPDATES.md.
 #: v7: one compiled superblock tier (cpu.jit_promote removed;
 #: interp.sb_retarget added) — see docs/PERFORMANCE.md.
-TRACE_SCHEMA_VERSION = 7
+#: v8: cc.policy_flush removed together with its only emitter, the
+#: temperature-RRIP policy — see docs/OBSERVABILITY.md.
+TRACE_SCHEMA_VERSION = 8
 
 #: Chrome-trace thread lane per event category.  One process (pid) is
 #: one client; within it each layer of the stack gets its own track.
@@ -83,7 +85,6 @@ EVENT_SCHEMA: dict[str, tuple[str, ...]] = {
     "cc.degraded_exit": ("orig", "stall_cycles"),
     "cc.policy_reject": ("orig", "policy"),
     "cc.policy_promote": ("orig", "touches"),
-    "cc.policy_flush": ("resident", "protected"),
     "cc.epoch_observed": ("epoch", "prev"),
     "cc.update_barrier": ("epoch", "prev", "invalidated", "restamped",
                           "dropped_prefetch"),

@@ -44,16 +44,13 @@ _HELP_TEXTS = {
                        "tcache (demand + prefetch).",
     "cc.evictions": "Blocks evicted from the tcache (allocator-FIFO "
                     "victim order; evict-vs-flush is policy-directed).",
-    "cc.flushes": "Whole-tcache flushes (flush/preemptive policy, "
+    "cc.flushes": "Whole-tcache flushes (flush policy, "
                   "stub exhaustion, admin flush/resize).",
     "cc.policy_prefetch_rejects": "Prefetch candidates rejected by "
                                   "the replacement policy at "
                                   "batch-assembly time (never shipped).",
     "cc.policy_promotions": "Addresses promoted to prefetch-eligible "
                             "(nhit crossing its touch threshold).",
-    "cc.policy_preemptive_flushes": "Whole-cache flushes chosen by "
-                                    "the policy over piecemeal "
-                                    "eviction (trrip).",
     "cc.miss_traps": "Miss traps taken (branch/ret/call/landing).",
     "cc.miss_service_cycles": "Simulated cycles spent servicing "
                               "misses, all phases.",

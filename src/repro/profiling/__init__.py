@@ -16,15 +16,9 @@ from .autosize import (
     measure_rewritten_bytes,
 )
 from .profiler import Profile, ProcProfile, profile_image
-from .temperature import (
-    TemperatureMap,
-    temperature_for_image,
-    temperature_map,
-)
 
 __all__ = [
-    "AutoSizeEstimate", "ProcProfile", "Profile", "TemperatureMap",
+    "AutoSizeEstimate", "ProcProfile", "Profile",
     "auto_tcache_size", "estimate_tcache_size",
     "measure_rewritten_bytes", "profile_image",
-    "temperature_for_image", "temperature_map",
 ]

@@ -43,7 +43,6 @@ from .policy import (
     NhitPolicy,
     ReplacementPolicy,
     SeqCutoffPolicy,
-    TrripPolicy,
     make_policy,
     policy_names,
     validate_policy_name,
@@ -63,7 +62,7 @@ __all__ = [
     "ReplacementPolicy", "RunReport", "SeqCutoffPolicy", "SiteKind",
     "SoftCacheConfig", "SoftCacheError", "SoftCacheStats",
     "SoftCacheSystem", "Stub", "TBlock", "TCache", "TCacheFull",
-    "TCacheGeometry", "TrripPolicy", "check_consistency",
+    "TCacheGeometry", "check_consistency",
     "chunk_graph_dot", "dump_tcache", "make_policy", "policy_names",
     "run_softcache", "validate_policy_name",
 ]

@@ -131,8 +131,7 @@ class BaseCacheController:
 
     def __init__(self, machine: Machine, mc: MemoryController,
                  channel: Channel, geometry: TCacheGeometry, *,
-                 policy="fifo", policy_params: dict | None = None,
-                 record_timeline: bool = True,
+                 policy="fifo", record_timeline: bool = True,
                  debug_poison: bool = False, prefetch_depth: int = 0,
                  recorder=None):
         if prefetch_depth < 0:
@@ -144,7 +143,7 @@ class BaseCacheController:
         self.mc = mc
         self.channel = channel
         self.tcache = TCache(geometry)
-        self._set_policy(policy, policy_params)
+        self._set_policy(policy)
         self.prefetch_depth = prefetch_depth
         self.record_timeline = record_timeline
         self.debug_poison = debug_poison
@@ -195,13 +194,13 @@ class BaseCacheController:
 
     # -- replacement policy -------------------------------------------------
 
-    def _set_policy(self, policy, params: dict | None = None) -> None:
+    def _set_policy(self, policy) -> None:
         """Build/bind the replacement policy (constructor + admin set).
 
         ``self.policy`` stays the plain name string the rest of the
         system (inspect snapshots, fleet metadata, tests) reads.
         """
-        obj = make_policy(policy, **(params or {}))
+        obj = make_policy(policy)
         obj.bind(self)
         self._policy = obj
         self.policy = obj.name
@@ -851,8 +850,7 @@ class BaseCacheController:
 
         ``prefetch_depth`` shapes the *next* miss exchange (the check
         site runs before the serve path reads it); ``policy`` swaps the
-        replacement policy (fresh metadata — a mid-run ``trrip`` has
-        no temperature map and degrades to neutral seeding).
+        replacement policy (fresh metadata).
         """
         applied: dict = {"verb": "set"}
         if policy is not None:

@@ -35,14 +35,10 @@ class SoftCacheConfig:
     #: Max basic blocks glued into one EBB chunk.
     ebb_limit: int = 8
     #: Replacement policy: a registered name (``fifo``, ``flush``,
-    #: ``trrip``, ``nhit``, ``seqcutoff`` — see
-    #: :mod:`repro.softcache.policy`) or a pre-built
-    #: :class:`~repro.softcache.policy.ReplacementPolicy` instance.
+    #: ``nhit``, ``seqcutoff`` — see :mod:`repro.softcache.policy`)
+    #: or a pre-built :class:`~repro.softcache.policy.ReplacementPolicy`
+    #: instance.
     policy: object = "fifo"
-    #: Constructor kwargs for a named policy (e.g. ``{"temperature":
-    #: TemperatureMap(...)}`` for trrip, ``{"n": 3}`` for nhit).
-    #: Ignored when ``policy`` is already an instance.
-    policy_params: dict | None = None
     #: Successor-prefetch depth: a miss reply carries up to this many
     #: extra non-resident successor chunks in one batched exchange.
     #: 0 (the default) reproduces the paper's one-chunk-per-miss
@@ -178,7 +174,6 @@ class SoftCacheSystem:
         self.cc = controller_cls(
             self.machine, self.mc, self.channel, geometry,
             policy=config.policy,
-            policy_params=config.policy_params,
             record_timeline=config.record_timeline,
             debug_poison=config.debug_poison,
             prefetch_depth=config.prefetch_depth,

@@ -177,7 +177,7 @@ def test_fleet_subcommand(capsys, tmp_path, monkeypatch):
     out = capsys.readouterr().out
     assert code == 0
     assert "[fleet] 3 clients" in out
-    assert "event queue model" in out
+    assert "stagger 1.0 ms" in out
     assert "uplink" in out
     _check_trace_outputs(tmp_path / "fleet")
 
@@ -198,13 +198,27 @@ def test_fleet_sharded_with_hub_and_prom(capsys, tmp_path,
     assert "repro_fleet_shard3_requests_total" in prom
 
 
-def test_fleet_legacy_queue_model(capsys):
-    code = main(["fleet", "sensor", "--scale", "0.05",
-                 "--tcache", "2048", "--clients", "2",
-                 "--queue-model", "legacy"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "legacy queue model" in out
+@pytest.mark.parametrize("argv, message", [
+    (["debug", "sensor", "--dump-superblock", "zz"], "invalid PC 'zz'"),
+    (["run", "sensor", "--fault-plan", "bogus=1"],
+     "unknown fault-plan key 'bogus'"),
+    (["fleet", "sensor", "--clients", "-1"], "client count must be >= 0"),
+])
+def test_malformed_values_are_usage_errors(argv, message, capsys,
+                                           monkeypatch):
+    """A malformed value is an argparse usage error (exit 2), raised
+    before the workload is even built."""
+    import repro.cli
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulation started")
+
+    monkeypatch.setattr(repro.cli, "build_workload", no_simulation)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and message in err
 
 
 def test_run_prom_out(capsys, tmp_path, monkeypatch):

@@ -22,7 +22,6 @@ from repro.softcache import (
     SeqCutoffPolicy,
     SoftCacheConfig,
     SoftCacheSystem,
-    TrripPolicy,
     policy_names,
 )
 from repro.softcache.debug import check_consistency
@@ -92,37 +91,18 @@ def test_policy_object_golden_equivalence(workload, scale, kwargs,
     assert got == expected
 
 
-_temperature_cache = {}
-
-
-def _temperature(image):
-    """Profile-derived temperature map, cached per image (profiling
-    runs the program natively once)."""
-    if id(image) not in _temperature_cache:
-        from repro.profiling import temperature_for_image
-        _temperature_cache[id(image)] = temperature_for_image(image)
-    return _temperature_cache[id(image)]
-
-
-def _policy_instance(spec: str, image):
+def _policy_instance(spec: str):
     """A *fresh* policy object per call — metadata must not leak
     between test cases."""
-    if spec == "trrip-temp":
-        return TrripPolicy(_temperature(image))
-    if spec == "trrip-preempt":
-        return TrripPolicy(_temperature(image), preemptive_flush=True)
     if spec == "nhit":
         return NhitPolicy(n=2)
     if spec == "seqcutoff":
         return SeqCutoffPolicy(cutoff=2)
-    return {"fifo": FifoPolicy, "flush": FlushPolicy,
-            "trrip": TrripPolicy}[spec]()
+    return {"fifo": FifoPolicy, "flush": FlushPolicy}[spec]()
 
 
-#: Every registered policy plus the trrip variants that only engage
-#: with a temperature map (admission filtering, preemptive flush).
-POLICY_SPECS = sorted(set(policy_names())
-                      | {"trrip-temp", "trrip-preempt"})
+#: Every registered policy.
+POLICY_SPECS = policy_names()
 
 
 @pytest.mark.parametrize("spec", POLICY_SPECS)
@@ -134,7 +114,7 @@ def test_policy_structural_invariants_sensor(spec):
     image = build_workload("sensor", 0.05)
     system = SoftCacheSystem(image, SoftCacheConfig(
         tcache_size=1024, link=LOCAL_LINK, prefetch_depth=2,
-        policy=_policy_instance(spec, image), record_timeline=False,
+        policy=_policy_instance(spec), record_timeline=False,
         debug_poison=True))
     report = system.run(600_000_000)
     assert report.exit_code == 0
@@ -273,9 +253,8 @@ def test_faulty_interleavings_never_dangle(seed, drop, corrupt,
 )
 def test_policy_interleavings_never_dangle(spec, chaos, seed, depth,
                                            actions):
-    """The eviction property × the policy layer: every policy (and the
-    trrip admission/preemptive variants) under random translate/flush
-    interleavings — optionally through a `chaos`-preset fault plan —
+    """The eviction property × the policy layer: every policy under
+    random translate/flush interleavings — optionally through a `chaos`-preset fault plan —
     must keep the link graph closed, the residency map exact and its
     own metadata free of stale block references.  `check_consistency`
     runs the policy's `audit()` against the resident set after every
@@ -287,7 +266,7 @@ def test_policy_interleavings_never_dangle(spec, chaos, seed, depth,
     image = churn_image()
     system = SoftCacheSystem(image, SoftCacheConfig(
         tcache_size=512, link=LOCAL_LINK, prefetch_depth=depth,
-        policy=_policy_instance(spec, image),
+        policy=_policy_instance(spec),
         record_timeline=False, debug_poison=True, fault_plan=plan,
         retry_policy=RetryPolicy(max_attempts=3, jitter=0.0)))
     cc = system.cc

@@ -1,17 +1,18 @@
 """Fleet simulation (Figure 1: one server, many devices).
 
 The fleet runs on a discrete-event scheduler: one simulated clock,
-live uplink/shard contention, with the old post-hoc FIFO kept as
-``queue_model="legacy"``.  These tests pin the contract: a 1-client
-event fleet is bit-identical to a solo run, the two queue models agree
-at low utilization, fault plans compose with the live queue, and
-sharding the MC never changes architectural state.  See docs/FLEET.md.
+live uplink/shard contention.  These tests pin the contract: a
+1-client fleet is bit-identical to a solo run, the scheduler matches
+closed-form single-server FIFO answers exactly, fault plans compose
+with the live queue, and sharding the MC never changes architectural
+state.  See docs/FLEET.md.
 """
 
 import pytest
 
-from repro.fleet import simulate_fleet
+from repro.fleet import ClientTrace, RpcRecord, run_event_sim, simulate_fleet
 from repro.net import FaultPlan, LinkModel, RetryPolicy
+from repro.sim import DEFAULT_COSTS
 from repro.softcache import (
     MemoryController,
     SoftCacheConfig,
@@ -77,31 +78,65 @@ def test_stagger_spreads_load(image, config):
     assert burst.max_queue_delay_s > 0
 
 
-def test_event_and_legacy_agree_at_low_load(image, config):
-    """Acceptance: below 20% uplink utilization the live event model
-    and the post-hoc legacy model agree on mean queue delay within 5%
-    (both collapse to ~zero — no contention means no feedback for the
-    models to disagree about)."""
-    ev = simulate_fleet(image, 6, config, stagger_s=0.04,
-                        queue_model="event")
-    leg = simulate_fleet(image, 6, config, stagger_s=0.04,
-                         queue_model="legacy")
-    assert ev.link_utilization < 0.20
-    a, b = ev.mean_queue_delay_s, leg.mean_queue_delay_s
-    assert abs(a - b) <= max(0.05 * max(a, b), 1e-9)
+def test_low_load_fleet_never_waits(image, config):
+    """Boots staggered by a whole solo run never overlap on the
+    uplink: no request waits, and the makespan is the last client's
+    boot plus its solo seconds, exactly."""
+    solo = SoftCacheSystem(image, config).run()
+    result = simulate_fleet(image, 4, config, stagger_s=solo.seconds)
+    assert all(c.queue_delay_s == 0.0 for c in result.clients)
+    assert result.delayed_requests == 0
+    assert result.max_queue_delay_s == 0.0
+    assert result.makespan_s == max(c.start_s + c.report.seconds
+                                    for c in result.clients)
 
 
-def test_event_feedback_disperses_collisions(image, config):
-    """Under contention the event model's feedback lets staggered
-    request trains self-organize apart after the first collision; the
-    legacy model re-collides every period, so it can only overestimate."""
-    burst_ev = simulate_fleet(image, 6, config, queue_model="event")
-    burst_leg = simulate_fleet(image, 6, config, queue_model="legacy")
-    assert burst_ev.delayed_requests > 0
-    assert burst_ev.mean_queue_delay_s <= burst_leg.mean_queue_delay_s
-    # legacy never feeds delay back into client timelines
-    assert all(c.queue_delay_s == 0.0 for c in burst_leg.clients)
-    assert any(c.queue_delay_s > 0.0 for c in burst_ev.clients)
+# -- closed-form oracles: synthetic traces, dyadic times, exact == -----
+
+#: Wire time per RPC: a power of two, so every sum the scheduler forms
+#: (k*W, 1.0 + k*W, 2.0 + k*W) is exact in binary floating point.
+W = 2.0 ** -12
+N_CLIENTS = 8
+
+
+def _trace(cycles, total_cycles, *, shard=-1):
+    records = [RpcRecord(start_cycles=c, kind="chunk", wire_s=W,
+                         wire_bytes=0, traversals=1, shard=shard,
+                         keys=()) for c in cycles]
+    return ClientTrace(records=records, total_cycles=total_cycles)
+
+
+def test_feedback_wave_closed_form():
+    """n clients boot together and issue two RPCs, at 0 s and 1 s.
+    Wave 1 queues FIFO (client k waits k*W); that wait shifts client
+    k's second RPC to 1.0 + k*W, which spaces wave 2 out so it never
+    queues.  A model without feedback re-collides wave 2 and doubles
+    every figure (2*k*W waits, 2*(n-1) delayed requests)."""
+    hz = int(DEFAULT_COSTS.cpu_hz)
+    trace = _trace([0, hz], 2 * hz)
+    out = run_event_sim([trace] * N_CLIENTS, [0.0] * N_CLIENTS,
+                        costs=DEFAULT_COSTS)
+    ks = range(N_CLIENTS)
+    assert out.waits == [k * W for k in ks]
+    assert out.delayed_requests == N_CLIENTS - 1
+    assert out.busy_until == 1.0 + N_CLIENTS * W
+    assert out.ends == [2.0 + k * W for k in ks]
+    assert out.uplink_busy_s == 2 * N_CLIENTS * W
+
+
+@pytest.mark.parametrize("service", [W, 3 * W])
+def test_shard_tier_closed_form(service):
+    """One simultaneous wave of chunk RPCs through the uplink and then
+    one origin shard whose service time s >= W: the shard is the
+    bottleneck, so client k waits k*W on the uplink plus k*(s - W) at
+    the shard, k*s in all."""
+    trace = _trace([0], int(DEFAULT_COSTS.cpu_hz), shard=0)
+    out = run_event_sim([trace] * N_CLIENTS, [0.0] * N_CLIENTS,
+                        costs=DEFAULT_COSTS, origin_service_s=service)
+    assert out.waits == [k * service for k in range(N_CLIENTS)]
+    assert out.shard_requests == [N_CLIENTS]
+    assert out.shard_busy_s == [N_CLIENTS * service]
+    assert out.max_shard_delay_s == (N_CLIENTS - 1) * (service - W)
 
 
 def test_chaos_fleet_composes_with_event_queue(image, config):
@@ -194,11 +229,6 @@ def test_empty_fleet(image, config):
 def test_negative_clients_rejected(image, config):
     with pytest.raises(ValueError):
         simulate_fleet(image, -1, config)
-
-
-def test_unknown_queue_model_rejected(image, config):
-    with pytest.raises(ValueError, match="queue model"):
-        simulate_fleet(image, 2, config, queue_model="quantum")
 
 
 def test_replication_preserves_server_accounting(image, config):

@@ -53,7 +53,7 @@ def test_event_schema_golden():
     its argument keys must be a deliberate act (update this table, the
     EVENT_SCHEMA table and docs/OBSERVABILITY.md together, and bump
     TRACE_SCHEMA_VERSION on incompatible changes)."""
-    assert TRACE_SCHEMA_VERSION == 7
+    assert TRACE_SCHEMA_VERSION == 8
     assert EVENT_SCHEMA == {
         "cc.trap": ("kind", "id"),
         "cc.miss": ("orig", "name", "size", "batch"),
@@ -68,7 +68,6 @@ def test_event_schema_golden():
         "cc.degraded_exit": ("orig", "stall_cycles"),
         "cc.policy_reject": ("orig", "policy"),
         "cc.policy_promote": ("orig", "touches"),
-        "cc.policy_flush": ("resident", "protected"),
         "cc.epoch_observed": ("epoch", "prev"),
         "cc.update_barrier": ("epoch", "prev", "invalidated",
                               "restamped", "dropped_prefetch"),

@@ -305,31 +305,6 @@ def test_resize_resets_policy_state():
     assert snap["tracked_origs"] == len(probe.touches)
 
 
-def test_resize_resets_trrip_rrpv():
-    """Same boundary for trrip: every RRPV entry left after a mid-run
-    resize must reference a currently-resident block (the audit inside
-    check_consistency fails on anything stale)."""
-    from repro.softcache import TrripPolicy
-    from repro.softcache.debug import check_consistency
-
-    policy = TrripPolicy()
-    image = build_workload("sensor", 0.05)
-    system = SoftCacheSystem(image, SoftCacheConfig(
-        tcache_size=2048, policy=policy))
-    _run_partially(system)
-    assert policy._rrpv            # metadata exists mid-run
-
-    ctl = ControlPlane()
-    system.cc._control = ctl
-    cmd = ctl.post("resize", {"tcache_size": 1024})
-    assert system.machine.cpu.run(2_000_000_000) == 0
-    assert cmd.error is None
-    assert check_consistency(system.cc) > 0
-    resident = set(map(id, list(system.cc.tcache.order)
-                       + list(system.cc.tcache.pinned_blocks)))
-    assert all(id(b) in resident for b in policy._rrpv)
-
-
 def test_admin_set_policy():
     """`admin set --policy` swaps the policy at a miss boundary; an
     unknown name fails with the full valid set in the error."""
@@ -350,7 +325,7 @@ def test_admin_set_policy():
     snap = system.inspect()["tcache"]["policy_state"]
     assert snap["name"] == "nhit"
     assert bad.error is not None
-    for name in ("fifo", "flush", "nhit", "seqcutoff", "trrip"):
+    for name in ("fifo", "flush", "nhit", "seqcutoff"):
         assert name in bad.error
 
 

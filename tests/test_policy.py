@@ -3,8 +3,7 @@
 Three tiers:
 
 * **Unit** — each policy's admission/eviction/metadata logic against a
-  stub controller (no simulator in the loop), plus the temperature
-  classifier that feeds trrip.
+  stub controller (no simulator in the loop).
 * **Registry** — one source of truth for policy names shared by the
   CLI parser, `admin set` and `SoftCacheConfig`; every entry point
   must reject an unknown name with the full valid set in the error.
@@ -22,7 +21,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.net import LOCAL_LINK
-from repro.profiling import TemperatureMap, temperature_map
 from repro.softcache import (
     EVICT,
     FLUSH,
@@ -34,7 +32,6 @@ from repro.softcache import (
     SeqCutoffPolicy,
     SoftCacheConfig,
     SoftCacheSystem,
-    TrripPolicy,
     make_policy,
     policy_names,
     validate_policy_name,
@@ -50,14 +47,9 @@ def _block(orig, orig_size=16):
                   orig_size=orig_size, extra_words=0)
 
 
-def _stub_cc(order=()):
-    """Just enough controller for a policy to bind to."""
-    return SimpleNamespace(stats=SoftCacheStats(), tracer=None,
-                           tcache=SimpleNamespace(order=list(order)))
-
-
-def _bound(policy, order=()):
-    policy.bind(_stub_cc(order))
+def _bound(policy):
+    """Bind *policy* to just enough controller for its hooks."""
+    policy.bind(SimpleNamespace(stats=SoftCacheStats(), tracer=None))
     return policy
 
 
@@ -65,8 +57,7 @@ def _bound(policy, order=()):
 
 def test_policy_names_sorted_and_complete():
     assert policy_names() == tuple(sorted(POLICIES))
-    assert set(policy_names()) == {"fifo", "flush", "nhit",
-                                   "seqcutoff", "trrip"}
+    assert policy_names() == ("fifo", "flush", "nhit", "seqcutoff")
 
 
 def test_validate_lists_every_valid_name():
@@ -78,7 +69,7 @@ def test_validate_lists_every_valid_name():
 
 def test_make_policy_resolves_names_and_passes_instances():
     assert isinstance(make_policy("fifo"), FifoPolicy)
-    assert isinstance(make_policy("nhit", n=3), NhitPolicy)
+    assert isinstance(make_policy("nhit"), NhitPolicy)
     obj = SeqCutoffPolicy(cutoff=7)
     assert make_policy(obj) is obj
 
@@ -112,44 +103,9 @@ def test_cli_choices_come_from_registry(capsys):
 
 def test_constructor_parameter_validation():
     with pytest.raises(ValueError):
-        TrripPolicy(max_rrpv=0)
-    with pytest.raises(ValueError):
         NhitPolicy(n=0)
     with pytest.raises(ValueError):
         SeqCutoffPolicy(cutoff=0)
-
-
-# -- temperature classifier --------------------------------------------------
-
-def _tmap():
-    return TemperatureMap(spans=((0x100, 0x140, "hot"),
-                                 (0x140, 0x180, "warm"),
-                                 (0x200, 0x240, "cold")),
-                          counts={"hot": 1, "warm": 1, "cold": 1})
-
-
-def test_temperature_map_classifies_by_span():
-    tm = _tmap()
-    assert tm.classify(0x100) == "hot"
-    assert tm.classify(0x13F) == "hot"
-    assert tm.classify(0x140) == "warm"
-    assert tm.classify(0x200) == "cold"
-    # gaps and out-of-range addresses classify cold: never speculated
-    assert tm.classify(0x180) == "cold"
-    assert tm.classify(0) == "cold"
-    assert tm.classify(0x1000) == "cold"
-
-
-def test_temperature_map_from_profile():
-    image = build_workload("sensor", 0.05)
-    from repro.profiling import profile_image
-    tm = temperature_map(profile_image(image))
-    counts = tm.counts
-    assert counts["hot"] >= 1
-    assert sum(counts.values()) == len(image.procs)
-    # every hot span classifies its own start address hot
-    for start, end, temp in tm.spans:
-        assert tm.classify(start) == temp
 
 
 # -- fifo / flush ------------------------------------------------------------
@@ -170,89 +126,6 @@ def test_flush_always_answers_flush():
     policy = _bound(FlushPolicy())
     assert policy.on_evict_candidate(_block(0x100)) == FLUSH
     assert policy.filters_prefetch is False
-
-
-# -- trrip -------------------------------------------------------------------
-
-def test_trrip_seeds_from_temperature():
-    policy = _bound(TrripPolicy(_tmap()))
-    assert policy.filters_prefetch is True
-    hot, warm, cold = _block(0x100), _block(0x140), _block(0x200)
-    policy.on_install(hot, prefetched=False)
-    policy.on_install(warm, prefetched=False)
-    policy.on_install(cold, prefetched=False)
-    assert policy._rrpv[hot] == 1
-    assert policy._rrpv[warm] == 2
-    assert policy._rrpv[cold] == policy.max_rrpv
-    # prefetched installs seed one step colder, capped at max
-    pf = _block(0x104)
-    policy.on_install(pf, prefetched=True)
-    assert policy._rrpv[pf] == 2
-    pf_cold = _block(0x204)
-    policy.on_install(pf_cold, prefetched=True)
-    assert policy._rrpv[pf_cold] == policy.max_rrpv
-    # a hit protects outright
-    policy.on_hit(cold)
-    assert policy._rrpv[cold] == 0
-
-
-def test_trrip_admission_rejects_cold_only():
-    policy = _bound(TrripPolicy(_tmap()))
-    assert policy.admit_prefetch(0x100) is True     # hot
-    assert policy.admit_prefetch(0x150) is True     # warm
-    assert policy.admit_prefetch(0x200) is False    # cold
-    assert policy.admit_prefetch(0x5000) is False   # unknown -> cold
-
-
-def test_trrip_without_temperature_degrades_to_fifo_plus_metadata():
-    policy = _bound(TrripPolicy())
-    assert policy.filters_prefetch is False
-    block = _block(0x100)
-    policy.on_install(block, prefetched=False)
-    assert policy._rrpv[block] == 2                  # neutral seed
-
-
-def test_trrip_metadata_follows_evictions_and_flushes():
-    policy = _bound(TrripPolicy(_tmap()))
-    a, b = _block(0x100), _block(0x140)
-    policy.on_install(a, prefetched=False)
-    policy.on_install(b, prefetched=False)
-    policy.on_evict(a)
-    assert a not in policy._rrpv and b in policy._rrpv
-    assert policy.audit([b]) == []
-    # stale metadata is exactly what audit() exists to catch
-    assert policy.audit([]) != []
-    policy.on_flush()
-    assert not policy._rrpv
-
-
-def test_trrip_preemptive_flush_requires_all_protected():
-    blocks = [_block(0x100 + 16 * i) for i in range(3)]
-    policy = TrripPolicy(_tmap(), preemptive_flush=True)
-    _bound(policy, order=blocks)
-    for block in blocks:
-        policy.on_install(block, prefetched=False)
-    # victim unprotected: plain eviction
-    assert policy.on_evict_candidate(blocks[0]) == EVICT
-    policy.on_hit(blocks[0])
-    # victim protected but a colder block remains: still evict
-    assert policy.on_evict_candidate(blocks[0]) == EVICT
-    for block in blocks[1:]:
-        policy.on_hit(block)
-    # whole resident set protected: the working set does not fit
-    assert policy.on_evict_candidate(blocks[0]) == FLUSH
-    assert policy.cc.stats.policy_preemptive_flushes == 1
-
-
-def test_trrip_snapshot_histogram():
-    policy = _bound(TrripPolicy(_tmap()))
-    for orig in (0x100, 0x104, 0x140):
-        policy.on_install(_block(orig), prefetched=False)
-    snap = policy.snapshot()
-    assert snap["name"] == "trrip"
-    assert snap["tracked_blocks"] == 3
-    assert snap["rrpv_histogram"] == {"1": 2, "2": 1}
-    assert snap["temperature_procs"] == {"hot": 1, "warm": 1, "cold": 1}
 
 
 # -- nhit --------------------------------------------------------------------
@@ -322,15 +195,10 @@ def test_seqcutoff_flush_resets_run():
 
 # -- differential: same program, same answer ---------------------------------
 
-def _policy_matrix(image):
-    from repro.profiling import temperature_for_image
-    temperature = temperature_for_image(image)
+def _policy_matrix():
     return {
         "fifo": FifoPolicy(),
         "flush": FlushPolicy(),
-        "trrip": TrripPolicy(temperature),
-        "trrip-preempt": TrripPolicy(temperature,
-                                     preemptive_flush=True),
         "nhit": NhitPolicy(n=2),
         "seqcutoff": SeqCutoffPolicy(cutoff=2),
     }
@@ -343,7 +211,7 @@ def test_policies_are_output_equivalent(depth):
     exit code of the fifo run, and end structurally consistent."""
     image = build_workload("sensor", 0.05)
     baseline = None
-    for label, policy in _policy_matrix(image).items():
+    for label, policy in _policy_matrix().items():
         system = SoftCacheSystem(image, SoftCacheConfig(
             tcache_size=1024, link=LOCAL_LINK, prefetch_depth=depth,
             policy=policy, record_timeline=False, debug_poison=True))
@@ -387,15 +255,38 @@ def test_check_consistency_catches_stale_policy_metadata():
     """`check_consistency` runs the policy's audit against the live
     resident set: a metadata entry for a block that is no longer
     resident is a hard ConsistencyError, not a silent leak."""
+
+    class TrackResident(ReplacementPolicy):
+        """Per-block metadata that must follow evictions/flushes."""
+        name = "track-resident"
+
+        def __init__(self):
+            super().__init__()
+            self.blocks = set()
+
+        def on_install(self, block, *, prefetched):
+            self.blocks.add(block)
+
+        def on_evict(self, block):
+            self.blocks.discard(block)
+
+        def on_flush(self):
+            self.blocks.clear()
+
+        def audit(self, resident):
+            live = set(map(id, resident))
+            return [f"tracked non-resident block {b.orig:#x}"
+                    for b in self.blocks if id(b) not in live]
+
     image = build_workload("sensor", 0.05)
-    policy = TrripPolicy()
+    policy = TrackResident()
     system = SoftCacheSystem(image, SoftCacheConfig(
         tcache_size=2048, link=LOCAL_LINK, policy=policy,
         record_timeline=False))
     system.run(600_000_000)
     assert check_consistency(system.cc) > 0
-    policy._rrpv[_block(0xDEAD)] = 1        # poison: non-resident
-    with pytest.raises(ConsistencyError, match="trrip"):
+    policy.blocks.add(_block(0xDEAD))       # poison: non-resident
+    with pytest.raises(ConsistencyError, match="non-resident"):
         check_consistency(system.cc)
 
 
