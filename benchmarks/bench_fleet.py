@@ -2,8 +2,10 @@
 
 Sweeps the discrete-event fleet simulation across client counts up to
 10k+ devices (capture once per distinct client, replay everyone
-through one heap-ordered clock), recording host wall clock, uplink
-utilization, queueing delay, and shard balance at each point.
+through one heap-ordered clock), recording host wall clock (split
+into the capture of the distinct clients and the ``run_event_sim``
+replay), uplink utilization, queueing delay, and shard balance at each
+point.
 Results are written to ``BENCH_fleet.json`` so CI can archive them
 and diff runs across commits.
 
@@ -26,25 +28,62 @@ import json
 import platform
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.fleet import fleet as fleet_mod  # noqa: E402
 from repro.fleet import simulate_fleet  # noqa: E402
 from repro.softcache import SoftCacheConfig  # noqa: E402
 from repro.workloads import build_workload  # noqa: E402
 
 
+@contextmanager
+def _phase_clock():
+    """Host seconds of the two fleet phases inside ``simulate_fleet``:
+    ``capture_s`` builds and runs each distinct client, ``replay_s``
+    is the ``run_event_sim`` call.  Wraps the module's names from the
+    outside and restores them on exit."""
+    spent = {"capture_s": 0.0, "replay_s": 0.0}
+
+    def timed(phase, fn):
+        def call(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[phase] += time.perf_counter() - t0
+        return call
+
+    saved = fleet_mod.SoftCacheSystem, fleet_mod.run_event_sim
+
+    def build(*args, **kwargs):
+        system = timed("capture_s", saved[0])(*args, **kwargs)
+        system.run = timed("capture_s", system.run)
+        return system
+
+    fleet_mod.SoftCacheSystem = build
+    fleet_mod.run_event_sim = timed("replay_s", saved[1])
+    try:
+        yield spent
+    finally:
+        fleet_mod.SoftCacheSystem, fleet_mod.run_event_sim = saved
+
+
 def _point(image, config, n: int, *, shards: int, hub_capacity: int,
            stagger_s: float) -> dict:
-    t0 = time.perf_counter()
-    r = simulate_fleet(image, n, config, stagger_s=stagger_s,
-                       shards=shards, hub_capacity=hub_capacity)
-    wall = time.perf_counter() - t0
+    with _phase_clock() as spent:
+        t0 = time.perf_counter()
+        r = simulate_fleet(image, n, config, stagger_s=stagger_s,
+                           shards=shards, hub_capacity=hub_capacity)
+        wall = time.perf_counter() - t0
     return {
         "clients": n,
         "distinct_clients": r.distinct_clients,
         "wall_s": wall,
+        "capture_s": spent["capture_s"],
+        "replay_s": spent["replay_s"],
         "makespan_s": r.makespan_s,
         "link_utilization": r.link_utilization,
         "mean_queue_delay_s": r.mean_queue_delay_s,
@@ -75,7 +114,7 @@ def run_benchmarks(max_clients: int, shards: int, hub_capacity: int,
                      hub_capacity=hub_capacity, stagger_s=stagger_s)
               for n in counts]
     return {
-        "schema": "BENCH_fleet/2",
+        "schema": "BENCH_fleet/3",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "shards": shards,
@@ -112,11 +151,14 @@ def main(argv: list[str] | None = None) -> int:
                              tuple(args.update_at or ()))
     args.out.write_text(json.dumps(results, indent=2) + "\n")
 
-    print(f"{'clients':>8} {'wall':>9} {'makespan':>10} {'util':>6} "
+    print(f"{'clients':>8} {'wall':>9} {'capture':>9} {'replay':>9} "
+          f"{'makespan':>10} {'util':>6} "
           f"{'mean queue':>11} {'balance':>8} {'hub':>5} "
           f"{'rollout':>9}")
     for p in results["scaling"]:
         print(f"{p['clients']:>8} {p['wall_s'] * 1e3:>7.0f}ms "
+              f"{p['capture_s'] * 1e3:>7.0f}ms "
+              f"{p['replay_s'] * 1e3:>7.0f}ms "
               f"{p['makespan_s']:>9.3f}s "
               f"{100 * p['link_utilization']:>5.1f}% "
               f"{p['mean_queue_delay_s'] * 1e6:>9.1f}us "

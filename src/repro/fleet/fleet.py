@@ -438,8 +438,7 @@ def simulate_fleet(image: Image, n_clients: int,
     if isinstance(shared_mc, ShardedMemoryController):
         shard_loads = [
             ShardLoad(shard=i, requests=sim.shard_requests[i],
-                      busy_s=sim.shard_busy_s[i]
-                      if i < len(sim.shard_busy_s) else 0.0,
+                      busy_s=sim.shard_busy_s[i],
                       mc_requests=part.stats.requests,
                       mc_chunks_built=part.stats.chunks_built,
                       mc_bytes_served=part.stats.bytes_served)
@@ -447,7 +446,7 @@ def simulate_fleet(image: Image, n_clients: int,
     else:
         shard_loads = [ShardLoad(
             shard=0, requests=sim.shard_requests[0],
-            busy_s=sim.shard_busy_s[0] if sim.shard_busy_s else 0.0,
+            busy_s=sim.shard_busy_s[0],
             mc_requests=shared_mc.stats.requests,
             mc_chunks_built=shared_mc.stats.chunks_built,
             mc_bytes_served=shared_mc.stats.bytes_served)]

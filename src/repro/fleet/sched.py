@@ -31,15 +31,22 @@ reconstructed after the fact.  Arrival times are computed as
 ``boot + cycles_to_seconds(start_cycles) + accumulated_wait`` — one
 expression from the captured integer cycle counts — so a 1-client
 fleet reproduces the solo run's simulated seconds *bit-identically*.
+
+The replay is a flat kernel: each distinct trace is compiled once into
+row tuples (start seconds, wire seconds, shard, interned hub keys),
+the heap holds bare arrival floats with FIFO tie lists keeping push
+order, and a hub hit is one :meth:`~repro.net.hub.LruChunkCache.access`
+call.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from ..net.hub import LruChunkCache
+from ..net.hub import LruChunkCache, hub_key
 
 
 @dataclass(slots=True)
@@ -58,9 +65,10 @@ class RpcRecord:
     #: Consistent-hash owner of the demanded chunk, -1 for non-chunk
     #: traffic (which never visits the origin-shard tier).
     shard: int
-    #: ``(orig, payload_bytes)`` per chunk the reply carried (demand
-    #: first); the edge hub is warmed and probed with these.
-    keys: tuple[tuple[int, int], ...]
+    #: ``(hub key, payload_bytes)`` per chunk the reply carried
+    #: (demand first; keys as :func:`~repro.net.hub.hub_key` forms
+    #: them); the edge hub is warmed and probed with these.
+    keys: tuple[tuple[object, int], ...]
 
 
 @dataclass
@@ -75,10 +83,6 @@ class ClientTrace:
     shard_demands: dict[int, int] = field(default_factory=dict)
     #: Link-layer retries the capture run performed.
     retries: int = 0
-
-    @property
-    def chunk_rpcs(self) -> int:
-        return sum(1 for r in self.records if r.shard >= 0)
 
 
 class MCProbe:
@@ -96,21 +100,23 @@ class MCProbe:
         owner = getattr(mc, "owner_of", None)
         self._owner = owner if owner is not None else (lambda orig: 0)
         self._shard = -1
-        self._keys: tuple[tuple[int, int], ...] = ()
+        self._keys: tuple[tuple[object, int], ...] = ()
         orig_serve = mc.serve_chunk
         orig_batch = mc.serve_batch
         probe = self
 
+        # keys as the hub keys them: after the serve, so a chunk
+        # served from a republished image carries its epoch
         def serve_chunk(orig_addr):
             chunk = orig_serve(orig_addr)
-            probe._stage(orig_addr,
-                         ((orig_addr, chunk.payload_bytes),))
+            key = hub_key(mc, orig_addr)
+            probe._stage(orig_addr, ((key, chunk.payload_bytes),))
             return chunk
 
         def serve_batch(orig_addr, depth, is_resident):
             batch = orig_batch(orig_addr, depth, is_resident)
             probe._stage(orig_addr,
-                         tuple((c.orig, c.payload_bytes)
+                         tuple((hub_key(mc, c.orig), c.payload_bytes)
                                for c, _ in batch))
             return batch
 
@@ -118,11 +124,11 @@ class MCProbe:
         mc.serve_batch = serve_batch
 
     def _stage(self, demand: int,
-               keys: tuple[tuple[int, int], ...]) -> None:
+               keys: tuple[tuple[object, int], ...]) -> None:
         self._shard = self._owner(demand)
         self._keys = keys
 
-    def take(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+    def take(self) -> tuple[int, tuple[tuple[object, int], ...]]:
         out = (self._shard, self._keys)
         self._shard, self._keys = -1, ()
         return out
@@ -153,7 +159,7 @@ class WireTap:
         self._wire_bytes = 0
         self._traversals = 0
         self._shard = -1
-        self._keys: tuple[tuple[int, int], ...] = ()
+        self._keys: tuple[tuple[object, int], ...] = ()
         # wire wrappers go on first: when faults are off, inner IS
         # outer and the bracket must wrap the wire accounting (the
         # bracket resets the traversal accumulators on entry)
@@ -287,6 +293,48 @@ class SimOutcome:
     hub_hits: int = 0
 
 
+def _compile_rows(traces, cts, n_shards: int):
+    """``(rows, total_s, chunk_rows)`` per client, compiled once per
+    trace object.
+
+    A row is ``(start_s, wire_s, shard, keys)`` with ``start_s =
+    cts(start_cycles)`` and every hub key interned to an int shared
+    by all traces (equal keys, equal ints), so the replay does no
+    per-event conversion, attribute lookup or tuple hashing.
+    """
+    compiled: dict[int, tuple[list, float, int]] = {}
+    interned: dict = {}
+    intern = interned.setdefault
+    plans = []
+    for trace in traces:
+        plan = compiled.get(id(trace))
+        if plan is None:
+            rows = []
+            for r in trace.records:
+                if not -1 <= r.shard < n_shards:
+                    raise ValueError(
+                        f"trace record names shard {r.shard} outside "
+                        f"the {n_shards}-shard tier")
+                keys = tuple((intern(key, len(interned)), size)
+                             for key, size in r.keys)
+                rows.append((cts(r.start_cycles), r.wire_s, r.shard,
+                             keys))
+            plan = compiled[id(trace)] = (
+                rows, cts(trace.total_cycles),
+                sum(1 for row in rows if row[2] >= 0))
+        plans.append(plan)
+    return plans
+
+
+def _tie(owner: dict, t: float, prev, c: int) -> None:
+    """Queue client *c* behind *prev* (a client or a deque of them)
+    at arrival *t*: tied arrivals pop in push order."""
+    if type(prev) is int:
+        owner[t] = deque((prev, c))
+    else:
+        prev.append(c)
+
+
 def run_event_sim(traces, boots, *, costs, n_shards: int = 1,
                   origin_service_s: float = 0.0,
                   hub_capacity: int = 0, recorder=None) -> SimOutcome:
@@ -294,26 +342,40 @@ def run_event_sim(traces, boots, *, costs, n_shards: int = 1,
 
     *traces* holds each client's :class:`ClientTrace` (replicated
     clients share trace objects), *boots* its boot offset.  One heap
-    orders the next pending RPC of every client; popping an event
+    orders the next pending arrival of every client; popping an event
     queues it FIFO on the shared uplink and — for chunk traffic that
     misses the shared edge hub — on its origin shard, and the waits
     incurred shift all of that client's later arrivals.
+
+    The heap holds bare arrival floats and ``owner`` maps each pending
+    arrival to its client, or to a FIFO deque of clients when arrivals
+    tie.  Raises :class:`ValueError` if a record names a shard outside
+    the tier.
     """
     n = len(traces)
-    cts = costs.cycles_to_seconds
     hz = costs.cpu_hz
+    plans = _compile_rows(traces, costs.cycles_to_seconds, n_shards)
+    rows_of = [plan[0] for plan in plans]
     idx = [0] * n
     waits = [0.0] * n
     ends = [0.0] * n
-    heap: list[tuple[float, int, int]] = []
-    seq = 0
+    heap: list[float] = []
+    owner: dict = {}
+    enqueue = owner.setdefault
+    n_events = 0
+    n_chunk = 0
     for c in range(n):
-        recs = traces[c].records
-        if recs:
-            heap.append((boots[c] + cts(recs[0].start_cycles), seq, c))
-            seq += 1
+        rows, total_s, chunk_rows = plans[c]
+        if rows:
+            t = boots[c] + rows[0][0]
+            prev = enqueue(t, c)
+            if prev is not c:
+                _tie(owner, t, prev, c)
+            heap.append(t)
+            n_events += len(rows)
+            n_chunk += chunk_rows
         else:
-            ends[c] = boots[c] + cts(traces[c].total_cycles)
+            ends[c] = boots[c] + total_s
     heapq.heapify(heap)
 
     uplink_free = 0.0
@@ -321,82 +383,84 @@ def run_event_sim(traces, boots, *, costs, n_shards: int = 1,
     shard_free = [0.0] * n_shards
     shard_busy = [0.0] * n_shards
     shard_req = [0] * n_shards
-    hub = LruChunkCache(hub_capacity) if hub_capacity > 0 else None
-    hub_requests = 0
-    hub_hits = 0
+    access = (LruChunkCache(hub_capacity).access if hub_capacity > 0
+              else None)
     q_total = 0.0
     q_max = 0.0
-    q_n = 0
     delayed = 0
     s_total = 0.0
     s_max = 0.0
 
-    push = heapq.heappush
+    pop_owner = owner.pop
+    replace = heapq.heapreplace
     pop = heapq.heappop
     while heap:
-        t, _, c = pop(heap)
-        trace = traces[c]
-        r = trace.records[idx[c]]
-        begin = t if t >= uplink_free else uplink_free
-        du = begin - t
-        uplink_free = begin + r.wire_s
-        uplink_busy += r.wire_s
+        t = heap[0]
+        c = pop_owner(t)
+        if type(c) is not int:
+            tied = c
+            c = tied.popleft()
+            if tied:
+                owner[t] = tied
+        rows = rows_of[c]
+        i = idx[c]
+        _, wire, sid, keys = rows[i]
+        if t >= uplink_free:
+            du = 0.0
+            uplink_free = t + wire
+        else:
+            du = uplink_free - t
+            uplink_free += wire
+        uplink_busy += wire
         ds = 0.0
-        if r.shard >= 0:
-            sid = r.shard if r.shard < n_shards else 0
-            at_hub = False
-            if hub is not None:
-                hub_requests += 1
-                if r.keys and r.keys[0][0] in hub:
-                    hub.touch(r.keys[0][0])
-                    hub_hits += 1
-                    at_hub = True
-            if not at_hub:
-                shard_req[sid] += 1
-            if not at_hub and origin_service_s > 0.0:
-                arrive = begin + r.wire_s
-                sbegin = (arrive if arrive >= shard_free[sid]
-                          else shard_free[sid])
-                ds = sbegin - arrive
-                shard_free[sid] = sbegin + origin_service_s
+        if sid >= 0 and (access is None or not access(keys)):
+            shard_req[sid] += 1
+            if origin_service_s > 0.0:
+                # the request reaches the shard as the uplink frees
+                free = shard_free[sid]
+                if uplink_free >= free:
+                    shard_free[sid] = uplink_free + origin_service_s
+                else:
+                    ds = free - uplink_free
+                    shard_free[sid] = free + origin_service_s
                 shard_busy[sid] += origin_service_s
                 s_total += ds
                 if ds > s_max:
                     s_max = ds
-            if hub is not None:
-                for key, size in r.keys:
-                    hub.insert(key, size)
         wait = du + ds
-        q_n += 1
-        q_total += wait
-        if wait > q_max:
-            q_max = wait
-        if wait > 0:
+        if wait > 0.0:
+            q_total += wait
+            if wait > q_max:
+                q_max = wait
             delayed += 1
+            waits[c] += wait
             if recorder is not None:
-                where = "uplink" if ds == 0.0 else f"shard{r.shard}"
+                where = "uplink" if ds == 0.0 else f"shard{sid}"
                 recorder.emit("fleet.queue", "fleet",
                               cycles=int(t * hz), dur=int(wait * hz),
                               where=where, arrival_s=t, delay_s=wait,
-                              service_s=r.wire_s)
-        waits[c] += wait
-        idx[c] += 1
-        if idx[c] < len(trace.records):
-            nxt = trace.records[idx[c]]
-            push(heap, (boots[c] + cts(nxt.start_cycles) + waits[c],
-                        seq, c))
-            seq += 1
+                              service_s=wire)
+        i += 1
+        if i < len(rows):
+            idx[c] = i
+            t = boots[c] + rows[i][0] + waits[c]
+            prev = enqueue(t, c)
+            if prev is not c:
+                _tie(owner, t, prev, c)
+            replace(heap, t)
         else:
-            ends[c] = boots[c] + cts(trace.total_cycles) + waits[c]
+            pop(heap)
+            ends[c] = boots[c] + plans[c][1] + waits[c]
 
     chunk_visits = sum(shard_req)
     return SimOutcome(
         waits=waits, ends=ends, uplink_busy_s=uplink_busy,
         busy_until=uplink_free,
-        mean_queue_delay_s=(q_total / q_n) if q_n else 0.0,
+        mean_queue_delay_s=(q_total / n_events) if n_events else 0.0,
         max_queue_delay_s=q_max, delayed_requests=delayed,
         shard_requests=shard_req, shard_busy_s=shard_busy,
         mean_shard_delay_s=(s_total / chunk_visits)
         if chunk_visits else 0.0,
         max_shard_delay_s=s_max,
-        hub_requests=hub_requests, hub_hits=hub_hits)
+        hub_requests=n_chunk if access is not None else 0,
+        hub_hits=n_chunk - chunk_visits if access is not None else 0)

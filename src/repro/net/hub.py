@@ -88,6 +88,25 @@ class LruChunkCache:
         """Mark *key* most recently used."""
         self._entries.move_to_end(key)
 
+    def access(self, keys) -> bool:
+        """One fetch of ``(key, payload_bytes)`` pairs, demand first:
+        a hit if the demand key is held; every pair is then inserted
+        (refreshed) in order, evicting as :meth:`insert` does.
+
+        A single-key hit whose size is unchanged is one LRU move.
+        """
+        if not keys:
+            return False
+        entries = self._entries
+        key, size = keys[0]
+        if len(keys) == 1 and entries.get(key) == size:
+            entries.move_to_end(key)
+            return True
+        hit = key in entries
+        for key, size in keys:
+            self.insert(key, size)
+        return hit
+
     def insert(self, key, payload_bytes: int) -> None:
         if self.capacity <= 0:
             return

@@ -3,15 +3,28 @@
 The fleet runs on a discrete-event scheduler: one simulated clock,
 live uplink/shard contention.  These tests pin the contract: a
 1-client fleet is bit-identical to a solo run, the scheduler matches
-closed-form single-server FIFO answers exactly, fault plans compose
-with the live queue, and sharding the MC never changes architectural
-state.  See docs/FLEET.md.
+closed-form single-server FIFO answers exactly and equals a plain
+reference heap loop on randomized traces, fault plans compose with the
+live queue, and sharding the MC never changes architectural state.
+See docs/FLEET.md.
 """
 
-import pytest
+import heapq
 
-from repro.fleet import ClientTrace, RpcRecord, run_event_sim, simulate_fleet
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.fleet import (
+    ClientTrace,
+    MCProbe,
+    RpcRecord,
+    SimOutcome,
+    run_event_sim,
+    simulate_fleet,
+)
 from repro.net import FaultPlan, LinkModel, RetryPolicy
+from repro.net.hub import LruChunkCache
+from repro.obs import FlightRecorder
 from repro.sim import DEFAULT_COSTS
 from repro.softcache import (
     MemoryController,
@@ -19,6 +32,7 @@ from repro.softcache import (
     SoftCacheSystem,
 )
 from repro.softcache.debug import architectural_state
+from repro.softcache.update import derive_patched_image
 from repro.workloads import build_workload
 
 
@@ -241,3 +255,194 @@ def test_replication_preserves_server_accounting(image, config):
     assert big.mc_chunks_built == small.mc_chunks_built
     assert big.mc_requests == big.mc_chunks_built * 32
     assert big.chunk_cache_sharing == pytest.approx(31 / 32)
+
+
+def test_out_of_tier_shard_rejected():
+    """A record naming a shard the tier lacks is a capture/tier
+    mismatch: the replay refuses it instead of billing shard 0."""
+    trace = _trace([0], 1000, shard=2)
+    with pytest.raises(ValueError, match="shard 2"):
+        run_event_sim([trace], [0.0], costs=DEFAULT_COSTS, n_shards=2)
+
+
+def test_hub_misses_a_changed_chunk_after_publish(image):
+    """The probe stages hub keys the way the hub forms them: after a
+    publish a chunk is keyed by its serving epoch, so the edge hub
+    cannot answer a post-publish fetch from the pre-publish entry."""
+    mc = MemoryController(image)
+    probe = MCProbe(mc)
+    patched = derive_patched_image(image, seed=1)
+    orig = image.text_base + next(
+        off for off in range(0, len(image.text), 4)
+        if image.text[off:off + 4] != patched.text[off:off + 4])
+    before = mc.serve_chunk(orig)
+    shard, keys_before = probe.take()
+    mc.publish(patched)
+    after = mc.serve_chunk(orig)
+    _, keys_after = probe.take()
+    assert before.words != after.words
+    assert keys_before[0][0] != keys_after[0][0]
+    trace = ClientTrace(records=[
+        RpcRecord(start_cycles=c, kind="chunk", wire_s=W, wire_bytes=0,
+                  traversals=1, shard=shard, keys=keys)
+        for c, keys in ((0, keys_before), (10_000, keys_after))],
+        total_cycles=20_000)
+    out = run_event_sim([trace], [0.0], costs=DEFAULT_COSTS,
+                        hub_capacity=64 * 1024)
+    assert out.hub_requests == 2
+    assert out.hub_hits == 0
+    assert out.shard_requests == [2]
+
+
+# -- randomized differential: the replay kernel vs a reference loop ----
+
+def reference_event_sim(traces, boots, *, costs, n_shards=1,
+                        origin_service_s=0.0, hub_capacity=0):
+    """The straightforward heap loop the replay kernel must equal:
+    ``(arrival, push order, client)`` events, one record at a time,
+    hub touch on a demand hit and an insert of every key."""
+    cts = costs.cycles_to_seconds
+    n = len(traces)
+    idx, waits, ends = [0] * n, [0.0] * n, [0.0] * n
+    heap, seq = [], 0
+    for c in range(n):
+        if traces[c].records:
+            t = boots[c] + cts(traces[c].records[0].start_cycles)
+            heap.append((t, seq, c))
+            seq += 1
+        else:
+            ends[c] = boots[c] + cts(traces[c].total_cycles)
+    heapq.heapify(heap)
+    uplink_free = uplink_busy = 0.0
+    shard_free = [0.0] * n_shards
+    shard_busy = [0.0] * n_shards
+    shard_req = [0] * n_shards
+    hub = LruChunkCache(hub_capacity) if hub_capacity > 0 else None
+    hub_requests = hub_hits = q_n = delayed = 0
+    q_total = q_max = s_total = s_max = 0.0
+    while heap:
+        t, _, c = heapq.heappop(heap)
+        r = traces[c].records[idx[c]]
+        begin = max(t, uplink_free)
+        du = begin - t
+        uplink_free = begin + r.wire_s
+        uplink_busy += r.wire_s
+        ds = 0.0
+        if r.shard >= 0:
+            at_hub = False
+            if hub is not None:
+                hub_requests += 1
+                if r.keys and r.keys[0][0] in hub:
+                    hub.touch(r.keys[0][0])
+                    hub_hits += 1
+                    at_hub = True
+            if not at_hub:
+                shard_req[r.shard] += 1
+                if origin_service_s > 0.0:
+                    arrive = begin + r.wire_s
+                    sbegin = max(arrive, shard_free[r.shard])
+                    ds = sbegin - arrive
+                    shard_free[r.shard] = sbegin + origin_service_s
+                    shard_busy[r.shard] += origin_service_s
+                    s_total += ds
+                    s_max = max(s_max, ds)
+            if hub is not None:
+                for key, size in r.keys:
+                    hub.insert(key, size)
+        wait = du + ds
+        q_n += 1
+        q_total += wait
+        q_max = max(q_max, wait)
+        delayed += wait > 0
+        waits[c] += wait
+        idx[c] += 1
+        records = traces[c].records
+        if idx[c] < len(records):
+            heapq.heappush(heap, (boots[c] + cts(
+                records[idx[c]].start_cycles) + waits[c], seq, c))
+            seq += 1
+        else:
+            ends[c] = boots[c] + cts(traces[c].total_cycles) + waits[c]
+    visits = sum(shard_req)
+    return SimOutcome(
+        waits=waits, ends=ends, uplink_busy_s=uplink_busy,
+        busy_until=uplink_free,
+        mean_queue_delay_s=q_total / q_n if q_n else 0.0,
+        max_queue_delay_s=q_max, delayed_requests=delayed,
+        shard_requests=shard_req, shard_busy_s=shard_busy,
+        mean_shard_delay_s=s_total / visits if visits else 0.0,
+        max_shard_delay_s=s_max, hub_requests=hub_requests,
+        hub_hits=hub_hits)
+
+
+#: Hub keys as the probe stages them: raw addresses before a publish,
+#: ``(group, epoch, orig)`` after.
+_KEYS = st.sampled_from([0x100, 0x140, 0x180, 0x1c0,
+                         ("default", 1, 0x100), ("default", 1, 0x140)])
+#: Dyadic and non-dyadic wire times, zero included (a zero-wire RPC
+#: can re-arrive at the instant it left).
+_WIRE = st.sampled_from([0.0, W, 3 * W, 1e-4, 7.3e-5])
+
+
+@st.composite
+def _fleet_case(draw):
+    n_shards = draw(st.integers(1, 3))
+    shard = st.integers(-1, n_shards - 1)
+
+    def record(start):
+        sid = draw(shard)
+        keys = (tuple(draw(st.lists(
+            st.tuples(_KEYS, st.sampled_from([24, 40, 64])),
+            min_size=0, max_size=3))) if sid >= 0 else ())
+        return RpcRecord(start_cycles=start, kind="chunk",
+                         wire_s=draw(_WIRE), wire_bytes=0,
+                         traversals=1, shard=sid, keys=keys)
+
+    distinct = []
+    for _ in range(draw(st.integers(1, 3))):
+        starts = sorted(draw(st.lists(st.integers(0, 40_000),
+                                      max_size=6)))
+        total = (starts[-1] if starts else 0) + draw(
+            st.integers(0, 40_000))
+        distinct.append(ClientTrace(
+            records=[record(s) for s in starts], total_cycles=total))
+    n = draw(st.integers(0, 7))
+    traces = [draw(st.sampled_from(distinct)) for _ in range(n)]
+    if draw(st.booleans()):
+        boots = [0.0] * n                       # every arrival ties
+    else:
+        boots = [draw(st.sampled_from([0.0, 1e-4, 2 * W, 0.5]))
+                 for _ in range(n)]
+    kwargs = dict(costs=DEFAULT_COSTS, n_shards=n_shards,
+                  origin_service_s=draw(
+                      st.sampled_from([0.0, W, 3 * W, 2e-4])),
+                  hub_capacity=draw(st.sampled_from([0, 64, 100,
+                                                     64 * 1024])))
+    return traces, boots, kwargs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fleet_case())
+def test_replay_matches_reference_loop(case):
+    traces, boots, kwargs = case
+    assert run_event_sim(traces, boots, **kwargs) == \
+        reference_event_sim(traces, boots, **kwargs)
+
+
+def test_recorded_replay_matches_and_logs_every_wait():
+    """A recorder observes the replay without changing it: the same
+    outcome, and one ``fleet.queue`` event per delayed request."""
+    hz = int(DEFAULT_COSTS.cpu_hz)
+    shard_trace = _trace([0, hz // 4], hz, shard=0)
+    link_trace = _trace([0, 10, 20], hz)
+    traces = [shard_trace, link_trace] * 4
+    boots = [0.0] * len(traces)
+    kwargs = dict(costs=DEFAULT_COSTS, origin_service_s=3 * W)
+    recorder = FlightRecorder()
+    recorded = run_event_sim(traces, boots, recorder=recorder, **kwargs)
+    assert recorded == run_event_sim(traces, boots, **kwargs)
+    assert recorded == reference_event_sim(traces, boots, **kwargs)
+    queued = [e for e in recorder.events if e.name == "fleet.queue"]
+    assert recorded.delayed_requests > 0
+    assert len(queued) == recorded.delayed_requests
+    assert {e.args["where"] for e in queued} == {"uplink", "shard0"}

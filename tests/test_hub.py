@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net import HubChannel, LinkModel, with_hub
+from repro.net.hub import LruChunkCache
 from repro.sim import run_native
 from repro.softcache import SoftCacheConfig, SoftCacheSystem
 from repro.workloads import build_workload
@@ -172,3 +173,17 @@ def test_second_client_hits_hub_on_prefetched_chunk(image):
     assert block.alive and not block.prefetched
     assert hub.hub_stats.hub_hits == hits_before + 1
     assert hub.hub_stats.origin_fetches == before
+
+
+def test_lru_access_is_touch_then_insert():
+    """``access`` answers whether the demand key was held, then
+    inserts every pair in order, evicting least recent first."""
+    hub = LruChunkCache(100)
+    assert not hub.access(((1, 40), (2, 40)))
+    assert hub.access(((1, 40),))          # hit: 1 becomes most recent
+    assert not hub.access(((3, 40),))      # evicts 2, the LRU entry
+    assert 2 not in hub and 1 in hub and 3 in hub
+    assert hub.access(((1, 50),))          # size change: refreshed
+    assert hub.cached_bytes == 90
+    assert not hub.access(())
+    assert not LruChunkCache(0).access(((1, 40),))
